@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_report.h"
@@ -43,9 +44,14 @@ int main() {
   Workload workload(num_views, num_queries);
 
   JsonReport report("match_program");
-  report.Caveat("single-core-host caveat: single-host wall clock; the "
-                "compiled-vs-generic ratio is the meaningful number, "
-                "absolute candidates/sec are not comparable across hosts");
+  char caveat[256];
+  std::snprintf(caveat, sizeof(caveat),
+                "single-threaded wall clock on a host with %u hardware "
+                "threads; the compiled-vs-generic ratio is the meaningful "
+                "number, absolute candidates/sec are not comparable across "
+                "hosts",
+                std::thread::hardware_concurrency());
+  report.Caveat(caveat);
   report.Meta("views", num_views);
   report.Meta("queries", num_queries);
   report.Meta("timed_passes", reps);

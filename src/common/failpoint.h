@@ -100,7 +100,7 @@ inline constexpr const char* kFailpointSites[] = {
     "view_catalog.add_view",              // error-return, pre-mutation
     "view_catalog.describe",              // throws before the commit point
     "filter_tree.add_view",               // throws before any tree mutation
-    "filter_tree.insert_leaf",            // throws mid-insert (undo path)
+    "filter_tree.insert_leaf",            // throws before the insert's write
     "matching_service.find_substitutes",  // throws at probe entry
     "matcher.match",                      // throws per candidate
     "match_program.compile",              // throws inside AddView/recovery

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/cow.h"
 #include "common/failpoint.h"
 
 namespace mvopt {
@@ -34,6 +35,13 @@ LatticeIndex::Key ToKey(const std::vector<T>& values) {
   return key;
 }
 
+// Grows `v`'s capacity to at least `n` (geometrically), so a later
+// resize to `n` cannot throw.
+template <typename T>
+void ReserveFor(std::vector<T>* v, size_t n) {
+  if (v->capacity() < n) v->reserve(std::max(n, 2 * v->capacity()));
+}
+
 }  // namespace
 
 const char* FilterLevelName(FilterLevel level) {
@@ -58,44 +66,38 @@ const char* FilterLevelName(FilterLevel level) {
   return "?";
 }
 
-FilterTree::FilterTree(const std::vector<ViewDescription>* descriptions)
-    : descriptions_(descriptions) {
+FilterTree::FilterTree()
+    : edit_(NewEditToken()),
+      spj_root_(NewNode()),
+      agg_root_(NewNode()),
+      atoms_(std::make_shared<AtomTable>()) {
   spj_levels_ = {FilterLevel::kHub,           FilterLevel::kSourceTables,
                  FilterLevel::kOutputExprs,   FilterLevel::kOutputColumns,
                  FilterLevel::kResidual,      FilterLevel::kRangeConstraints};
   agg_levels_ = spj_levels_;
   agg_levels_.push_back(FilterLevel::kGroupingExprs);
   agg_levels_.push_back(FilterLevel::kGroupingColumns);
+  atoms_->owner = edit_;
 }
 
-// Recursive node clone for the rebinding copy constructor. Child slots
-// may be null (lattice node ids keep their slot even when unused).
-void FilterTree::CloneNode(const Node& from, Node* to) {
-  to->index = from.index;
-  to->leaves = from.leaves;
-  to->children.clear();
-  to->children.reserve(from.children.size());
-  for (const std::unique_ptr<Node>& child : from.children) {
-    if (child == nullptr) {
-      to->children.push_back(nullptr);
-      continue;
-    }
-    auto copy = std::make_unique<Node>();
-    CloneNode(*child, copy.get());
-    to->children.push_back(std::move(copy));
-  }
+std::shared_ptr<FilterTree::Node> FilterTree::NewNode() const {
+  auto node = std::make_shared<Node>();
+  node->owner = edit_;
+  node->lattice = std::make_shared<Lattice>();
+  node->lattice->owner = edit_;
+  return node;
 }
 
-FilterTree::FilterTree(const FilterTree& other,
-                       const std::vector<ViewDescription>* descriptions)
-    : descriptions_(descriptions),
+FilterTree::FilterTree(const FilterTree& other)
+    : edit_(NewEditToken()),
       spj_levels_(other.spj_levels_),
       agg_levels_(other.agg_levels_),
+      spj_root_(other.spj_root_),
+      agg_root_(other.agg_root_),
       atoms_(other.atoms_),
       num_views_(other.num_views_),
       assume_backjoins_(other.assume_backjoins_) {
-  CloneNode(other.spj_root_, &spj_root_);
-  CloneNode(other.agg_root_, &agg_root_);
+  other.edit_.store(NewEditToken(), std::memory_order_relaxed);
 }
 
 void FilterTree::SetLevels(std::vector<FilterLevel> spj_levels,
@@ -106,15 +108,19 @@ void FilterTree::SetLevels(std::vector<FilterLevel> spj_levels,
 }
 
 uint32_t FilterTree::Intern(const std::string& text) {
-  auto [it, inserted] =
-      atoms_.emplace(text, static_cast<uint32_t>(atoms_.size()));
-  (void)inserted;
-  return it->second;
+  if (std::optional<uint32_t> atom = LookupAtom(text)) return *atom;
+  // A new text: copy the table first if another generation shares it.
+  // Atoms interned by an insert that then fails stay behind; they only
+  // make a query text known that no view key carries.
+  AtomTable* atoms = MutableCow(&atoms_, edit_);
+  const auto atom = static_cast<uint32_t>(atoms->ids.size());
+  atoms->ids.emplace(text, atom);
+  return atom;
 }
 
 std::optional<uint32_t> FilterTree::LookupAtom(const std::string& text) const {
-  auto it = atoms_.find(text);
-  if (it == atoms_.end()) return std::nullopt;
+  auto it = atoms_->ids.find(text);
+  if (it == atoms_->ids.end()) return std::nullopt;
   return it->second;
 }
 
@@ -153,78 +159,127 @@ LatticeIndex::Key FilterTree::ViewKey(const ViewDescription& d,
   return {};
 }
 
-void FilterTree::AddView(ViewId id) {
+void FilterTree::AddView(ViewId id,
+                         std::shared_ptr<const ViewDescription> description) {
   MVOPT_FAILPOINT("filter_tree.add_view");
-  const ViewDescription& d = (*descriptions_)[id];
+  const ViewDescription& d = *description;
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
-  Node* node = d.is_aggregate ? &agg_root_ : &spj_root_;
-  // Undo log: lattice keys this insert brought to life, so a failure
-  // mid-path (allocation, failpoint) can re-erase exactly them. Keys
-  // that were already live belong to other views and must survive.
-  struct Step {
-    Node* node;
-    LatticeIndex::Key key;
-    bool created;
-  };
-  std::vector<Step> steps;
-  steps.reserve(levels.size());
-  try {
-    for (size_t depth = 0; depth < levels.size(); ++depth) {
-      LatticeIndex::Key key = ViewKey(d, levels[depth]);
-      const int existing = node->index.Find(key);
-      const bool created = existing < 0 || !node->index.alive(existing);
-      int lattice_node = node->index.Insert(key);
-      steps.push_back(Step{node, std::move(key), created});
-      const bool last = depth + 1 == levels.size();
-      if (last) {
-        MVOPT_FAILPOINT("filter_tree.insert_leaf");
-        if (node->leaves.size() <= static_cast<size_t>(lattice_node)) {
-          node->leaves.resize(lattice_node + 1);
-        }
-        node->leaves[lattice_node].push_back(id);
-      } else {
-        if (node->children.size() <= static_cast<size_t>(lattice_node)) {
-          node->children.resize(lattice_node + 1);
-        }
-        if (node->children[lattice_node] == nullptr) {
-          node->children[lattice_node] = std::make_unique<Node>();
-        }
-        node = node->children[lattice_node].get();
-      }
+  std::vector<LatticeIndex::Key> keys;
+  keys.reserve(levels.size());
+  for (FilterLevel level : levels) keys.push_back(ViewKey(d, level));
+  const size_t last = levels.size() - 1;
+
+  // Follow the view's path while it already exists, making each node on
+  // it writable (a shared node is swapped for a content-identical copy,
+  // which no search can tell apart). `node` ends at the level where the
+  // key — or, at the last level, the leaf entry — has to go.
+  Node* node = MutableCow(d.is_aggregate ? &agg_root_ : &spj_root_, edit_);
+  size_t depth = 0;
+  for (; depth < last; ++depth) {
+    const int n = node->index().Find(keys[depth]);
+    if (n < 0 || !node->index().alive(n) ||
+        static_cast<size_t>(n) >= node->children.size() ||
+        node->children[n] == nullptr) {
+      break;
     }
-  } catch (...) {
-    // The leaf push is the final mutation, so on any failure the view id
-    // is not in a leaf yet; erasing the keys this insert created (lazy
-    // deletion keeps them as dead routing waypoints) restores the
-    // searchable state exactly.
-    for (auto rit = steps.rbegin(); rit != steps.rend(); ++rit) {
-      if (rit->created) rit->node->index.Erase(rit->key);
+    node = MutableCow(&node->children[n], edit_);
+  }
+
+  // The levels below `depth` are new: build them bottom-up, unlinked.
+  std::shared_ptr<Node> subtree;
+  for (size_t k = last; k > depth; --k) {
+    std::shared_ptr<Node> fresh = NewNode();
+    fresh->lattice->index.Insert(keys[k]);  // node id 0
+    if (k == last) {
+      fresh->leaves.push_back({LeafView{id, description}});
+    } else {
+      fresh->children.push_back(std::move(subtree));
     }
-    throw;
+    subtree = std::move(fresh);
+  }
+
+  // Link it in. Everything that can fail happens before the first
+  // visible write, so a failure leaves the tree as it was and nothing
+  // needs undoing: a live key always leads to the view. The lattice is
+  // made writable (copied if shared) only when the key is new or erased.
+  const LatticeIndex::Key& key = keys[depth];
+  const int existing = node->index().Find(key);
+  const size_t slot = static_cast<size_t>(
+      existing >= 0 ? existing : node->index().num_nodes());
+  LatticeIndex* lattice = nullptr;
+  if (existing < 0 || !node->index().alive(existing)) {
+    lattice = &MutableCow(&node->lattice, edit_)->index;
+  }
+  if (depth == last && existing >= 0) {
+    if (node->leaves.size() <= slot) node->leaves.resize(slot + 1);
+    MVOPT_FAILPOINT("filter_tree.insert_leaf");
+    // The key exists, so reviving it cannot fail: the leaf push (strong
+    // guarantee) is the visible write.
+    node->leaves[slot].push_back(LeafView{id, std::move(description)});
+    if (lattice != nullptr) lattice->Insert(key);
+  } else if (depth == last) {
+    std::vector<LeafView> leaf{LeafView{id, std::move(description)}};
+    ReserveFor(&node->leaves, slot + 1);
+    MVOPT_FAILPOINT("filter_tree.insert_leaf");
+    lattice->Insert(key);
+    node->leaves.resize(slot + 1);  // within capacity: no-throw
+    node->leaves[slot] = std::move(leaf);
+  } else {
+    ReserveFor(&node->children, slot + 1);
+    MVOPT_FAILPOINT("filter_tree.insert_leaf");
+    if (lattice != nullptr) lattice->Insert(key);
+    if (node->children.size() <= slot) node->children.resize(slot + 1);
+    node->children[slot] = std::move(subtree);
   }
   ++num_views_;
 }
 
-void FilterTree::RemoveView(ViewId id) {
-  const ViewDescription& d = (*descriptions_)[id];
+void FilterTree::RemoveView(ViewId id, const ViewDescription& d) {
   const std::vector<FilterLevel>& levels =
       d.is_aggregate ? agg_levels_ : spj_levels_;
-  Node* node = d.is_aggregate ? &agg_root_ : &spj_root_;
+  Node* node = MutableCow(d.is_aggregate ? &agg_root_ : &spj_root_, edit_);
   for (size_t depth = 0; depth < levels.size(); ++depth) {
     LatticeIndex::Key key = ViewKey(d, levels[depth]);
-    int lattice_node = node->index.Find(key);
+    int lattice_node = node->index().Find(key);
     assert(lattice_node >= 0 && "view path must exist");
     const bool last = depth + 1 == levels.size();
     if (last) {
       auto& leaf = node->leaves[lattice_node];
-      leaf.erase(std::remove(leaf.begin(), leaf.end(), id), leaf.end());
-      if (leaf.empty()) node->index.Erase(key);
+      // Emptying the leaf erases its key: make the lattice writable
+      // before the first visible write.
+      LatticeIndex* lattice =
+          leaf.size() == 1 ? &MutableCow(&node->lattice, edit_)->index
+                           : nullptr;
+      leaf.erase(std::remove_if(leaf.begin(), leaf.end(),
+                                [id](const LeafView& v) { return v.id == id; }),
+                 leaf.end());
+      if (leaf.empty() && lattice != nullptr) lattice->Erase(key);
     } else {
-      node = node->children[lattice_node].get();
+      node = MutableCow(&node->children[lattice_node], edit_);
     }
   }
   --num_views_;
+}
+
+void FilterTree::CollectNodes(const Node& node,
+                              std::unordered_set<const Node*>* out) {
+  out->insert(&node);
+  for (const std::shared_ptr<Node>& child : node.children) {
+    if (child != nullptr) CollectNodes(*child, out);
+  }
+}
+
+int FilterTree::SharedNodeCount(const FilterTree& other) const {
+  std::unordered_set<const Node*> mine;
+  CollectNodes(*spj_root_, &mine);
+  CollectNodes(*agg_root_, &mine);
+  std::unordered_set<const Node*> theirs;
+  CollectNodes(*other.spj_root_, &theirs);
+  CollectNodes(*other.agg_root_, &theirs);
+  int shared = 0;
+  for (const Node* node : mine) shared += theirs.count(node) > 0 ? 1 : 0;
+  return shared;
 }
 
 void FilterTree::SearchLevel(const Node& node, FilterLevel level,
@@ -252,14 +307,15 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
         break;
     }
   }
+  const LatticeIndex& index = node.index();
   switch (level) {
     case FilterLevel::kHub:
       // Hub condition (§4.2.2): hub ⊆ query source tables.
-      node.index.SearchSubsets(ctx.source_tables, out);
+      index.SearchSubsets(ctx.source_tables, out);
       return;
     case FilterLevel::kSourceTables:
       // Source table condition (§4.2.1): view tables ⊇ query tables.
-      node.index.SearchSupersets(ctx.source_tables, out);
+      index.SearchSupersets(ctx.source_tables, out);
       return;
     case FilterLevel::kOutputExprs: {
       const bool impossible = agg_tree ? ctx.output_agg_exprs_impossible
@@ -267,7 +323,7 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
       if (impossible) return;  // a required text exists in no view
       const LatticeIndex::Key& atoms =
           agg_tree ? ctx.output_agg_expr_atoms : ctx.output_expr_atoms;
-      node.index.SearchSupersets(atoms, out);
+      index.SearchSupersets(atoms, out);
       return;
     }
     case FilterLevel::kOutputColumns: {
@@ -276,13 +332,13 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
       // descend from the tops. Not applicable when backjoins can recover
       // missing columns.
       if (assume_backjoins_) {
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
+        index.SearchDown([](const LatticeIndex::Key&) { return true; },
                               out);
         return;
       }
       const auto& classes =
           agg_tree ? ctx.output_classes_agg : ctx.output_classes_spj;
-      node.index.SearchDown(
+      index.SearchDown(
           [&classes](const LatticeIndex::Key& key) {
             for (const auto& cls : classes) {
               if (!Intersects(key, cls)) return false;
@@ -295,31 +351,31 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
     case FilterLevel::kResidual:
       // Residual predicate condition (§4.2.6): view residual texts ⊆
       // query residual texts.
-      node.index.SearchSubsets(ctx.residual_atoms, out);
+      index.SearchSubsets(ctx.residual_atoms, out);
       return;
     case FilterLevel::kRangeConstraints:
       // Weak range constraint condition (§4.2.5); the full condition is
       // applied per view after the leaf is reached.
-      node.index.SearchSubsets(ctx.extended_range_columns, out);
+      index.SearchSubsets(ctx.extended_range_columns, out);
       return;
     case FilterLevel::kGroupingExprs:
       if (assume_backjoins_) {
         // The FD relaxation lets grouping expressions be recovered via
         // backjoins; the textual containment is no longer necessary.
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
+        index.SearchDown([](const LatticeIndex::Key&) { return true; },
                               out);
         return;
       }
       if (ctx.grouping_exprs_impossible) return;
-      node.index.SearchSupersets(ctx.grouping_expr_atoms, out);
+      index.SearchSupersets(ctx.grouping_expr_atoms, out);
       return;
     case FilterLevel::kGroupingColumns:
       if (assume_backjoins_) {
-        node.index.SearchDown([](const LatticeIndex::Key&) { return true; },
+        index.SearchDown([](const LatticeIndex::Key&) { return true; },
                               out);
         return;
       }
-      node.index.SearchDown(
+      index.SearchDown(
           [&ctx](const LatticeIndex::Key& key) {
             for (const auto& cls : ctx.grouping_classes) {
               if (!Intersects(key, cls)) return false;
@@ -331,12 +387,11 @@ void FilterTree::SearchLevel(const Node& node, FilterLevel level,
   }
 }
 
-bool FilterTree::PassesFullRangeCondition(ViewId id,
-                                          const SearchContext& ctx) const {
+bool FilterTree::PassesFullRangeCondition(const ViewDescription& d,
+                                          const SearchContext& ctx) {
   // Range constraint condition (§4.2.5): every range-constrained view
   // equivalence class must have a column in the query's extended range
   // constraint list.
-  const ViewDescription& d = (*descriptions_)[id];
   for (const auto& cls : d.range_constrained_classes) {
     if (!Intersects(ToKey(cls), ctx.extended_range_columns)) return false;
   }
@@ -361,11 +416,11 @@ void FilterTree::Search(const Node& node,
   for (int n : qualifying) {
     if (last) {
       if (static_cast<size_t>(n) >= node.leaves.size()) continue;
-      for (ViewId id : node.leaves[n]) {
+      for (const LeafView& view : node.leaves[n]) {
         if (stats != nullptr) ++stats->views_range_checked;
-        if (PassesFullRangeCondition(id, ctx)) {
+        if (PassesFullRangeCondition(*view.description, ctx)) {
           if (budget != nullptr && budget->ConsumeCandidate()) return;
-          out->push_back(id);
+          out->push_back(view.id);
         } else if (stats != nullptr) {
           ++stats->views_range_rejected;
         }
@@ -435,13 +490,13 @@ std::vector<ViewId> FilterTree::FindCandidates(const QueryDescription& query,
   }
 
   std::vector<ViewId> out;
-  if (spj_root_.index.num_live_nodes() > 0 || !spj_root_.leaves.empty()) {
-    Search(spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &out, stats,
+  if (spj_root_->index().num_live_nodes() > 0 || !spj_root_->leaves.empty()) {
+    Search(*spj_root_, spj_levels_, 0, ctx, /*agg_tree=*/false, &out, stats,
            budget);
   }
   if (query.is_aggregate &&
-      (agg_root_.index.num_live_nodes() > 0 || !agg_root_.leaves.empty())) {
-    Search(agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &out, stats,
+      (agg_root_->index().num_live_nodes() > 0 || !agg_root_->leaves.empty())) {
+    Search(*agg_root_, agg_levels_, 0, ctx, /*agg_tree=*/true, &out, stats,
            budget);
   }
   return out;

@@ -13,23 +13,33 @@
 // output columns, residual constraints, range constraints, and (for
 // aggregation views) grouping expressions and grouping columns.
 //
-// Thread-safety: externally synchronized. The tree has no internal
-// locking; MatchingService owns the only concurrent instance and guards
-// it with its structure lock (FindCandidates under the shared lock,
-// AddView/RemoveView under the exclusive one) — expressed there as
-// MVOPT_GUARDED_BY on the filter_tree_ member, which is what the
-// thread-safety analysis checks. Standalone instances (tests, benches)
-// are single-threaded.
+// Structure sharing (DESIGN.md §15): nodes and the interned-atom table
+// are held through shared_ptrs, so copying a tree is O(1) and the copy
+// shares every node with its source. AddView and RemoveView path-copy:
+// they copy the nodes on the root-to-leaf path that another generation
+// still shares and write the ones this tree already owns in place
+// (common/cow.h); a node's lattice is copied only when its keys change.
+// Copies keep lattice node ids and leaf order, so a copied tree answers
+// every search exactly as its source did.
+//
+// Thread-safety: a tree is written by one thread at a time and never
+// after it is published. MatchingService publishes each generation in a
+// CatalogSnapshot and writes only unpublished copies, under its writer
+// mutex; probes search published generations without locks, and any
+// thread may copy a published tree, which keeps that generation's nodes
+// alive. Standalone instances (tests, benches) are single-threaded.
 
 #ifndef MVOPT_INDEX_FILTER_TREE_H_
 #define MVOPT_INDEX_FILTER_TREE_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/query_budget.h"
@@ -94,18 +104,12 @@ struct FilterSearchStats {
 
 class FilterTree {
  public:
-  /// `descriptions` must outlive the tree and grow append-only (it is the
-  /// ViewCatalog's description store).
-  explicit FilterTree(const std::vector<ViewDescription>* descriptions);
+  FilterTree();
 
-  /// Rebinding deep copy (the snapshot-clone path, DESIGN.md §15):
-  /// clones every node, lattice and interned atom of `other`, but points
-  /// the copy at `descriptions` — the cloned snapshot's own description
-  /// store — instead of the source tree's.
-  FilterTree(const FilterTree& other,
-             const std::vector<ViewDescription>* descriptions);
-
-  FilterTree(const FilterTree&) = delete;
+  /// Next-generation copy: shares every node and the atom table with
+  /// `other`; each of the two trees copies a shared node before its
+  /// first write to it, so neither sees the other's later changes.
+  FilterTree(const FilterTree& other);
   FilterTree& operator=(const FilterTree&) = delete;
 
   /// Overrides the default level orders (primarily for the ablation
@@ -119,14 +123,15 @@ class FilterTree {
   /// necessary conditions; this disables them.
   void set_assume_backjoins(bool v) { assume_backjoins_ = v; }
 
-  /// Indexes the view with the given description index (== ViewId).
-  /// Strongly exception-safe: a failure mid-insert (allocation or
-  /// failpoint) rolls the tree back to its previous state before
-  /// rethrowing.
-  void AddView(ViewId id);
+  /// Indexes view `id`, described by `description` (which the tree's
+  /// leaf keeps for the full range check). Strongly exception-safe:
+  /// everything fallible (keys, node copies, the new subtree, the
+  /// failpoints) happens before the single visible write, so a failure
+  /// leaves the tree as it was.
+  void AddView(ViewId id, std::shared_ptr<const ViewDescription> description);
 
-  /// Removes a previously added view.
-  void RemoveView(ViewId id);
+  /// Removes a previously added view (`description` as given to AddView).
+  void RemoveView(ViewId id, const ViewDescription& description);
 
   /// Returns ids of views satisfying every partitioning condition for
   /// `query`, including the full range-constraint check (§4.2.5).
@@ -147,16 +152,46 @@ class FilterTree {
 
   int num_views() const { return num_views_; }
 
+  /// Structure-sharing introspection: the number of nodes in this tree,
+  /// and how many of them are the very same objects in `other` (two
+  /// generations share every node no write between them copied).
+  int NodeCount() const { return SharedNodeCount(*this); }
+  int SharedNodeCount(const FilterTree& other) const;
+
  private:
   /// The invariant auditor (src/verify) walks the private tree structure
   /// read-only to validate it against the public search results.
   friend class InvariantAuditor;
 
-  struct Node {
+  /// A leaf entry: the view and the description its range check reads.
+  struct LeafView {
+    ViewId id;
+    std::shared_ptr<const ViewDescription> description;
+  };
+
+  /// A node's lattice, shared apart from the node: a write that only
+  /// relinks a child (every node above the one that gets the new key)
+  /// copies the node but not its lattice.
+  struct Lattice {
+    /// Edit token of the only tree that may write this lattice in place.
+    uint64_t owner = 0;
     LatticeIndex index;
+  };
+
+  struct Node {
+    /// Edit token of the only tree that may write this node in place.
+    uint64_t owner = 0;
+    std::shared_ptr<Lattice> lattice;
     /// Children / leaf payloads indexed by lattice node id.
-    std::vector<std::unique_ptr<Node>> children;
-    std::vector<std::vector<ViewId>> leaves;
+    std::vector<std::shared_ptr<Node>> children;
+    std::vector<std::vector<LeafView>> leaves;
+
+    const LatticeIndex& index() const { return lattice->index; }
+  };
+
+  struct AtomTable {
+    uint64_t owner = 0;
+    std::unordered_map<std::string, uint32_t> ids;
   };
 
   /// Interned query-side keys, computed once per search.
@@ -176,9 +211,11 @@ class FilterTree {
     bool is_aggregate = false;
   };
 
-  /// Deep-copies `from`'s subtree into `to` (rebinding copy ctor).
-  static void CloneNode(const Node& from, Node* to);
-
+  /// A new, empty node this tree owns.
+  std::shared_ptr<Node> NewNode() const;
+  /// Adds every node of the subtree at `node` to `out`.
+  static void CollectNodes(const Node& node,
+                           std::unordered_set<const Node*>* out);
   LatticeIndex::Key ViewKey(const ViewDescription& d, FilterLevel level);
   void Search(const Node& node, const std::vector<FilterLevel>& levels,
               size_t depth, const SearchContext& ctx, bool agg_tree,
@@ -187,17 +224,20 @@ class FilterTree {
   void SearchLevel(const Node& node, FilterLevel level,
                    const SearchContext& ctx, bool agg_tree,
                    std::vector<int>* out, FilterSearchStats* stats) const;
-  bool PassesFullRangeCondition(ViewId id, const SearchContext& ctx) const;
+  static bool PassesFullRangeCondition(const ViewDescription& d,
+                                       const SearchContext& ctx);
 
   uint32_t Intern(const std::string& text);
   std::optional<uint32_t> LookupAtom(const std::string& text) const;
 
-  const std::vector<ViewDescription>* descriptions_;
+  /// Edit token (common/cow.h). The copy constructor re-tokens its
+  /// source too — an atomic, so a copy may be taken from any thread.
+  mutable std::atomic<uint64_t> edit_;
   std::vector<FilterLevel> spj_levels_;
   std::vector<FilterLevel> agg_levels_;
-  Node spj_root_;
-  Node agg_root_;
-  std::unordered_map<std::string, uint32_t> atoms_;
+  std::shared_ptr<Node> spj_root_;
+  std::shared_ptr<Node> agg_root_;
+  std::shared_ptr<AtomTable> atoms_;
   int num_views_ = 0;
   bool assume_backjoins_ = false;
 };

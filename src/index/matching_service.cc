@@ -354,26 +354,14 @@ ViewDefinition* MatchingService::AddView(const std::string& name,
                                          SpjgQuery definition,
                                          std::string* error) {
   WriterLock lock(mu_);
-  // Build the next generation on a private clone: probes keep running
+  // Build the next generation on a private copy: probes keep running
   // against the published snapshot, and any failure below just discards
-  // the clone — rollback is structural, not compensating.
+  // the copy — rollback is structural, not compensating.
   auto next = std::make_unique<CatalogSnapshot>(*SnapshotLocked());
   ViewDefinition* view = nullptr;
   try {
-    view = next->views.AddView(name, std::move(definition), error);
+    view = RegisterLocked(next.get(), name, std::move(definition), error);
     if (view == nullptr) return nullptr;
-    next->tree.AddView(view->id());
-    if (options_.compile_match_programs) {
-      // Compile once, here under the writer lock — the program rides the
-      // clone into publication and is shared (shared_ptr) by every later
-      // snapshot generation; the probe path never compiles. A compile
-      // failure aborts the registration like an indexing failure (the
-      // clone is discarded), keeping "registered implies tiered exactly
-      // as configured".
-      MVOPT_FAILPOINT("match_program.compile");
-      next->views.SetProgram(
-          view->id(), CompileMatchProgram(*catalog_, *view, options_.match));
-    }
     if (store_ != nullptr && store_->is_open()) {
       PersistedView image;
       image.name = view->name();
@@ -410,6 +398,38 @@ ViewDefinition* MatchingService::AddView(const std::string& name,
   const TableEpochClock* clock = epochs_.load(std::memory_order_acquire);
   lifecycle_.MarkFresh(view->id(), clock != nullptr ? clock->now() : 0);
   PublishLocked(std::move(next));
+  return view;
+}
+
+ViewDefinition* MatchingService::RegisterLocked(CatalogSnapshot* next,
+                                                const std::string& name,
+                                                SpjgQuery definition,
+                                                std::string* error) {
+  ViewDefinition* view =
+      next->views.AddView(name, std::move(definition), error);
+  if (view == nullptr) return nullptr;
+  try {
+    if (options_.compile_match_programs) {
+      // Compile once, here under the writer lock — the program rides the
+      // new generation into publication and is shared (shared_ptr) by
+      // every later one; the probe path never compiles. A compile
+      // failure aborts the registration like an indexing failure,
+      // keeping "registered implies tiered exactly as configured".
+      // Programs are not persisted: recovery recompiles them from the
+      // replayed definition, landing with the tiers a fresh
+      // registration would produce.
+      MVOPT_FAILPOINT("match_program.compile");
+      next->views.SetProgram(
+          view->id(), CompileMatchProgram(*catalog_, *view, options_.match));
+    }
+    // Indexing is the last fallible step, and a failed insert leaves the
+    // tree untouched, so only the catalog needs rolling back.
+    next->tree.AddView(view->id(),
+                       next->views.shared_description(view->id()));
+  } catch (...) {
+    next->views.RemoveLastView(view->id());
+    throw;
+  }
   return view;
 }
 
@@ -919,22 +939,8 @@ RecoveryReport MatchingService::RecoverFrom(CatalogStore* store) {
     }
     ViewDefinition* view = nullptr;
     try {
-      view = next->views.AddView(image.name, std::move(*parsed), &err);
-      if (view != nullptr) {
-        next->tree.AddView(view->id());
-        if (options_.compile_match_programs) {
-          // Programs are not persisted — they are recompiled from the
-          // replayed definition, so recovery lands with the same tiers
-          // a fresh registration would produce.
-          MVOPT_FAILPOINT("match_program.compile");
-          next->views.SetProgram(
-              view->id(),
-              CompileMatchProgram(*catalog_, *view, options_.match));
-        }
-      }
+      view = RegisterLocked(next.get(), image.name, std::move(*parsed), &err);
     } catch (const std::exception& e) {
-      if (view != nullptr) next->views.RemoveLastView(view->id());
-      view = nullptr;
       err = e.what();
     }
     if (view == nullptr) {
@@ -976,7 +982,7 @@ bool MatchingService::ReportChecksumMismatch(ViewId id) {
   if (!lifecycle_.ReportChecksumMismatch(id)) return false;
   if (static_cast<size_t>(id) < in_tree_.size() && in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*SnapshotLocked());
-    next->tree.RemoveView(id);
+    next->tree.RemoveView(id, next->views.description(id));
     in_tree_[id] = 0;
     PublishLocked(std::move(next));
   }
@@ -1009,7 +1015,7 @@ int MatchingService::RevalidationTick(
       // paying for them (probe-side quarantine entry cannot touch the
       // tree — it changes only the lifecycle registry).
       if (in_tree_[id]) {
-        next->tree.RemoveView(id);
+        next->tree.RemoveView(id, next->views.description(id));
         in_tree_[id] = 0;
       }
       if (!lifecycle_.DueForRetry(id, tick)) continue;
@@ -1017,7 +1023,8 @@ int MatchingService::RevalidationTick(
       try {
         ok = validate != nullptr && validate(next->views.view(id));
         if (ok) {
-          next->tree.AddView(id);  // re-insertion; strongly exception-safe
+          // Re-insertion; strongly exception-safe.
+          next->tree.AddView(id, next->views.shared_description(id));
           in_tree_[id] = 1;
         }
       } catch (const std::exception&) {
@@ -1055,7 +1062,7 @@ bool MatchingService::ReadmitView(ViewId id) {
   if (static_cast<size_t>(id) < in_tree_.size() && !in_tree_[id]) {
     auto next = std::make_unique<CatalogSnapshot>(*current);
     try {
-      next->tree.AddView(id);
+      next->tree.AddView(id, next->views.shared_description(id));
       in_tree_[id] = 1;
       PublishLocked(std::move(next));
     } catch (const std::exception&) {

@@ -10,8 +10,9 @@
 // common/epoch_reclaim.h) and run entirely lock-free — zero shared lock
 // acquisitions and zero shared writes on the probe path outside the
 // probe-atomic stats commit. Writers (AddView / recovery / lifecycle
-// readmission and quarantine) serialize on the writer mutex, clone the
-// current snapshot off-path, mutate the clone, and publish it with a
+// readmission and quarantine) serialize on the writer mutex, copy the
+// current snapshot off-path (a structure-sharing copy: only what the
+// write touches is duplicated), mutate the copy, and publish it with a
 // pointer swap; the displaced snapshot is retired into the epoch domain
 // and freed once no pin can still reference it. Probe results are always
 // computed against one consistent snapshot (the one before or after any
@@ -144,19 +145,15 @@ struct VerifyStats {
 /// The unit of publication on the probe path (DESIGN.md §15): the view
 /// catalog and the filter tree built over its descriptions, bundled so
 /// one atomic pointer covers everything a probe walks. Immutable once
-/// published — writers clone, mutate the clone, and publish the clone.
-/// The clone shares the ViewDefinition objects with its source (see
-/// ViewCatalog's copy constructor) but owns its descriptions and tree.
+/// published — writers copy, mutate the copy, and publish the copy. The
+/// copy shares structure with its source (catalog chunks, name index,
+/// tree nodes, atom table), so it costs O(chunks) pointer copies, and a
+/// write then copies only the chunk and root-to-leaf path it touches.
 struct CatalogSnapshot {
-  explicit CatalogSnapshot(const Catalog* catalog)
-      : views(catalog), tree(&views.descriptions()) {}
-  /// Clone for the next generation: bumps the version, copies the
-  /// catalog (sharing definitions), deep-copies the tree rebound onto
-  /// the clone's own description store.
+  explicit CatalogSnapshot(const Catalog* catalog) : views(catalog) {}
+  /// The next generation: bumps the version and shares the rest.
   CatalogSnapshot(const CatalogSnapshot& other)
-      : version(other.version + 1),
-        views(other.views),
-        tree(other.tree, &views.descriptions()) {}
+      : version(other.version + 1), views(other.views), tree(other.tree) {}
   CatalogSnapshot& operator=(const CatalogSnapshot&) = delete;
 
   uint64_t version = 0;  ///< publication generation (0 = initial, empty)
@@ -581,6 +578,13 @@ class MatchingService : public SubstituteSource {
       MVOPT_REQUIRES(mu_);
   /// Grows lifecycle + tree-membership bookkeeping to `num_views`.
   void GrowBookkeepingLocked(int num_views) MVOPT_REQUIRES(mu_);
+  /// Registers, compiles and indexes a view on the unpublished `next`.
+  /// nullptr with *error on rejection; on a throw the view is rolled
+  /// back out of `next` before the exception propagates.
+  ViewDefinition* RegisterLocked(CatalogSnapshot* next,
+                                 const std::string& name,
+                                 SpjgQuery definition, std::string* error)
+      MVOPT_REQUIRES(mu_);
 
   const Catalog* catalog_;
   /// Immutable after construction except verify_mode (see verify_mode_,

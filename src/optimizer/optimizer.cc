@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "expr/classify.h"
 
@@ -27,6 +29,32 @@ void CollectMaskedColumns(const ExprPtr& expr, uint32_t mask,
 }
 
 constexpr int kJoinedAggKeyBase = 100000;
+
+void CollectViewNames(const PhysPlan& plan, std::vector<std::string>* out) {
+  if (plan.kind == PhysKind::kViewScan ||
+      plan.kind == PhysKind::kViewIndexScan) {
+    out->push_back(plan.view_name);
+  }
+  for (const PhysPlanPtr& child : plan.children) {
+    CollectViewNames(*child, out);
+  }
+}
+
+// Tie-break between alternatives of exactly equal cost that read
+// different views: the one whose sorted view names compare smaller wins.
+// The chosen plan then does not depend on the order a substitute source
+// lists its substitutes (a sharded catalog lists them shard by shard).
+// Every other tie keeps the earlier alternative.
+bool WinsCostTie(const PhysPlan& challenger, const PhysPlan& incumbent) {
+  std::vector<std::string> mine;
+  std::vector<std::string> theirs;
+  CollectViewNames(challenger, &mine);
+  CollectViewNames(incumbent, &theirs);
+  if (mine.empty() || theirs.empty()) return false;
+  std::sort(mine.begin(), mine.end());
+  std::sort(theirs.begin(), theirs.end());
+  return mine < theirs;
+}
 
 }  // namespace
 
@@ -782,7 +810,10 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
     }
     for (const auto& c : candidates) {
       if (c == nullptr) continue;
-      if (best == nullptr || c->cost < best->cost) best = c;
+      if (best == nullptr || c->cost < best->cost ||
+          (c->cost == best->cost && WinsCostTie(*c, *best))) {
+        best = c;
+      }
     }
   }
   Group& group = ctx->groups[group_id];

@@ -17,11 +17,13 @@
 // ids; the single-store one hands out catalog ordinals).
 //
 // Concurrency: FindSubstitutes / FindUnionSubstitute follow the
-// implementation's probe contract (MatchingService allows concurrent
-// probes under its shared lock). ResolveView hands out a reference into
-// implementation-owned structure; like ViewCatalog accessors it must not
-// race a registration that could grow the underlying containers — the
-// optimizer resolves only ids returned by a probe of the same source.
+// implementation's probe contract (both implementations allow concurrent
+// probes, lock-free on a pinned catalog snapshot, concurrent with
+// registrations; DESIGN.md §15). ResolveView returns a reference to a
+// view definition, which lives as long as the source: definitions are
+// shared by every catalog generation that holds the view, and published
+// catalogs only grow. The optimizer resolves only ids returned by a probe
+// of the same source.
 
 #ifndef MVOPT_REWRITE_SUBSTITUTE_SOURCE_H_
 #define MVOPT_REWRITE_SUBSTITUTE_SOURCE_H_

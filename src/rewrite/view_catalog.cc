@@ -1,11 +1,25 @@
 #include "rewrite/view_catalog.h"
 
-#include <algorithm>
 #include <cassert>
 
+#include "common/cow.h"
 #include "common/failpoint.h"
 
 namespace mvopt {
+
+ViewCatalog::ViewCatalog(const Catalog* catalog)
+    : catalog_(catalog),
+      edit_(NewEditToken()),
+      names_(std::make_shared<NameIndex>()) {}
+
+ViewCatalog::ViewCatalog(const ViewCatalog& other)
+    : catalog_(other.catalog_),
+      edit_(NewEditToken()),
+      chunks_(other.chunks_),
+      num_views_(other.num_views_),
+      names_(other.names_) {
+  other.edit_.store(NewEditToken(), std::memory_order_relaxed);
+}
 
 ViewDefinition* ViewCatalog::AddView(const std::string& name,
                                      SpjgQuery definition,
@@ -19,54 +33,83 @@ ViewDefinition* ViewCatalog::AddView(const std::string& name,
     if (error != nullptr) *error = *invalid;
     return nullptr;
   }
-  ViewId id = static_cast<ViewId>(views_.size());
+  const ViewId id = static_cast<ViewId>(num_views_);
   // Build everything fallible before the commit point: a throw from the
   // definition, the description (or the failpoint standing in for one)
-  // leaves all three containers untouched, so views_/descriptions_/
-  // by_name_ can never disagree. The duplicate-name check is part of the
-  // same transactional commit — it is decided by the by_name_ insert
-  // itself, after every fallible step, so a duplicate rejection can
-  // never strand rollback bookkeeping set up along the way.
-  auto view = std::make_shared<ViewDefinition>(id, name, std::move(definition));
-  ViewDescription description = DescribeView(*catalog_, *view);
+  // or the chunk allocation leaves the catalog as it was. Taking a
+  // private copy of a shared tail chunk is invisible (the copy is
+  // content-identical). The duplicate-name check is part of the same
+  // transactional commit — it is decided by the name-index write itself,
+  // after every fallible step.
+  Entry entry;
+  entry.definition =
+      std::make_shared<ViewDefinition>(id, name, std::move(definition));
+  entry.description = std::make_shared<const ViewDescription>(
+      DescribeView(*catalog_, *entry.definition));
   MVOPT_FAILPOINT("view_catalog.describe");
-  if (views_.size() == views_.capacity()) {
-    views_.reserve(std::max<size_t>(8, views_.size() * 2));
+  std::shared_ptr<Chunk> fresh;
+  Chunk* chunk = nullptr;
+  if ((id & (kChunkSize - 1)) == 0) {
+    fresh = std::make_shared<Chunk>();
+    fresh->owner = edit_;
+    chunk = fresh.get();
+    chunks_.reserve(chunks_.size() + 1);
+  } else {
+    chunk = MutableCow(&chunks_.back(), edit_);
   }
-  if (descriptions_.size() == descriptions_.capacity()) {
-    descriptions_.reserve(std::max<size_t>(8, descriptions_.size() * 2));
-  }
-  if (programs_.size() == programs_.capacity()) {
-    programs_.reserve(std::max<size_t>(8, programs_.size() * 2));
-  }
-  auto [it, inserted] = by_name_.emplace(name, id);  // may throw; commit point
-  (void)it;
-  if (!inserted) {
-    if (error != nullptr) {
-      *error = "view '" + name + "' is already registered";
+  chunk->entries.reserve(kChunkSize);
+  {
+    MutexLock lock(names_->mu);
+    auto [it, inserted] = names_->ids.emplace(name, id);  // commit point
+    if (!inserted) {
+      if (Holds(it->second, name)) {
+        if (error != nullptr) {
+          *error = "view '" + name + "' is already registered";
+        }
+        return nullptr;  // nothing visible mutated: no rollback needed
+      }
+      it->second = id;  // a leftover of a rolled-back registration
     }
-    return nullptr;  // nothing mutated: rejection needs no rollback
   }
-  // Capacity reserved and both element moves are noexcept: no-throw.
-  views_.push_back(std::move(view));
-  descriptions_.push_back(std::move(description));
-  programs_.emplace_back();  // compiled later (MatchingService), if at all
-  return views_.back().get();
+  // Capacity reserved and the moves are noexcept: no-throw from here.
+  chunk->entries.push_back(std::move(entry));
+  if (fresh != nullptr) chunks_.push_back(std::move(fresh));
+  ++num_views_;
+  return chunk->entries.back().definition.get();
 }
 
 void ViewCatalog::RemoveLastView(ViewId id) {
-  assert(!views_.empty() && views_.back()->id() == id &&
+  assert(num_views_ > 0 && id == num_views_ - 1 &&
          "only the most recent registration can be rolled back");
-  (void)id;
-  by_name_.erase(views_.back()->name());
-  views_.pop_back();
-  descriptions_.pop_back();
-  programs_.pop_back();
+  // The AddView being rolled back made the tail chunk this generation's
+  // own, so the pops below write no shared state.
+  Chunk* chunk = chunks_.back().get();
+  assert(chunk->owner == edit_);
+  {
+    MutexLock lock(names_->mu);
+    auto it = names_->ids.find(chunk->entries.back().definition->name());
+    if (it != names_->ids.end() && it->second == id) names_->ids.erase(it);
+  }
+  chunk->entries.pop_back();
+  if (chunk->entries.empty()) chunks_.pop_back();
+  --num_views_;
 }
 
 const ViewDefinition* ViewCatalog::FindView(const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : views_[it->second].get();
+  ViewId id;
+  {
+    MutexLock lock(names_->mu);
+    auto it = names_->ids.find(name);
+    if (it == names_->ids.end()) return nullptr;
+    id = it->second;
+  }
+  return Holds(id, name) ? entry(id).definition.get() : nullptr;
+}
+
+void ViewCatalog::SetProgram(ViewId id,
+                             std::shared_ptr<const MatchProgram> program) {
+  Chunk* chunk = MutableCow(&chunks_[id >> kChunkBits], edit_);
+  chunk->entries[id & (kChunkSize - 1)].program = std::move(program);
 }
 
 }  // namespace mvopt

@@ -168,8 +168,8 @@ void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
                                      bool agg_tree, const std::string& where,
                                      std::vector<ViewId>* seen,
                                      AuditReport* report) const {
-  CheckLattice(node.index, where, report);
-  const size_t n = static_cast<size_t>(node.index.num_nodes());
+  CheckLattice(node.index(), where, report);
+  const size_t n = static_cast<size_t>(node.index().num_nodes());
   const bool last = depth + 1 == num_levels;
   if (node.leaves.size() > n || node.children.size() > n) {
     report->violations.push_back(where +
@@ -186,19 +186,19 @@ void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
     if (last) {
       const bool populated =
           i < node.leaves.size() && !node.leaves[i].empty();
-      if (node.index.alive(static_cast<int>(i)) != populated) {
+      if (node.index().alive(static_cast<int>(i)) != populated) {
         report->violations.push_back(
             at + ": leaf liveness disagrees with its view list");
       }
       if (i < node.leaves.size()) {
-        for (ViewId id : node.leaves[i]) {
-          if (id < 0 ||
-              id >= static_cast<ViewId>(tree.descriptions_->size())) {
+        for (const FilterTree::LeafView& view : node.leaves[i]) {
+          const ViewId id = view.id;
+          if (id < 0 || view.description == nullptr) {
             report->violations.push_back(at + ": leaf holds unknown view id " +
                                          std::to_string(id));
             continue;
           }
-          if ((*tree.descriptions_)[id].is_aggregate != agg_tree) {
+          if (view.description->is_aggregate != agg_tree) {
             report->violations.push_back(
                 at + ": view " + std::to_string(id) +
                 " indexed in the wrong aggregation tree");
@@ -210,7 +210,7 @@ void InvariantAuditor::CheckTreeNode(const FilterTree& tree,
     }
     const bool has_child =
         i < node.children.size() && node.children[i] != nullptr;
-    if (node.index.alive(static_cast<int>(i)) && !has_child) {
+    if (node.index().alive(static_cast<int>(i)) && !has_child) {
       report->violations.push_back(at + ": live interior node has no child");
     }
     if (has_child) {
@@ -224,11 +224,11 @@ AuditReport InvariantAuditor::AuditFilterTree(const FilterTree& tree) const {
   AuditReport report;
   std::vector<ViewId> seen;
   if (!tree.spj_levels_.empty()) {
-    CheckTreeNode(tree, tree.spj_root_, 0, tree.spj_levels_.size(),
+    CheckTreeNode(tree, *tree.spj_root_, 0, tree.spj_levels_.size(),
                   /*agg_tree=*/false, "spj", &seen, &report);
   }
   if (!tree.agg_levels_.empty()) {
-    CheckTreeNode(tree, tree.agg_root_, 0, tree.agg_levels_.size(),
+    CheckTreeNode(tree, *tree.agg_root_, 0, tree.agg_levels_.size(),
                   /*agg_tree=*/true, "agg", &seen, &report);
   }
   std::vector<ViewId> sorted = seen;

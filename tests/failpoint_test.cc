@@ -189,7 +189,8 @@ TEST_F(FailpointSiteTest, InsertLeafThrowUndoesPartialTreeInsert) {
   EXPECT_EQ(service.AddView("victim", SimpleLineitemDef(), &error), nullptr);
   EXPECT_NE(error.find("rolled back"), std::string::npos);
   EXPECT_EQ(service.views().num_views(), 5);
-  // The undo log re-erased every lattice key the failed insert created.
+  // The failed insert wrote nothing: no lattice key it would have
+  // created is live.
   ExpectAuditGreen(service);
   ViewDefinition* v = service.AddView("victim", SimpleLineitemDef(), &error);
   ASSERT_NE(v, nullptr) << error;

@@ -51,7 +51,7 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
   Catalog catalog;
   tpch::BuildSchema(&catalog, 0.001);
   ViewCatalog views(&catalog);
-  FilterTree tree(&views.descriptions());
+  FilterTree tree;
 
   tpch::WorkloadGenerator gen(&catalog, 1234);
   std::vector<ViewId> ids;
@@ -60,7 +60,7 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
     ViewDefinition* v =
         views.AddView("v" + std::to_string(i), gen.GenerateView(), &error);
     ASSERT_NE(v, nullptr) << error;
-    tree.AddView(v->id());
+    tree.AddView(v->id(), views.shared_description(v->id()));
     ids.push_back(v->id());
   }
 
@@ -71,11 +71,13 @@ TEST(FilterTreeAuditTest, WorkloadTreePassesIncludingAfterRemovals) {
 
   // Remove every third view, then re-add one: liveness bookkeeping and
   // the view population must stay consistent.
-  for (size_t i = 0; i < ids.size(); i += 3) tree.RemoveView(ids[i]);
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    tree.RemoveView(ids[i], views.description(ids[i]));
+  }
   report = auditor.AuditFilterTree(tree);
   EXPECT_TRUE(report.ok()) << report.Summary();
 
-  tree.AddView(ids[0]);
+  tree.AddView(ids[0], views.shared_description(ids[0]));
   report = auditor.AuditFilterTree(tree);
   EXPECT_TRUE(report.ok()) << report.Summary();
 }

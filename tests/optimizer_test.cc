@@ -254,6 +254,62 @@ TEST_F(OptimizerViewTest, NoSubstitutesModeStillInvokesMatching) {
   EXPECT_FALSE(result.uses_view);
 }
 
+/// Forwards to `inner`, listing its substitutes in reverse order.
+class ReversedSource : public SubstituteSource {
+ public:
+  explicit ReversedSource(SubstituteSource* inner) : inner_(inner) {}
+
+  std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
+                                          QueryContext& ctx) override {
+    std::vector<Substitute> subs = inner_->FindSubstitutes(query, ctx);
+    std::reverse(subs.begin(), subs.end());
+    return subs;
+  }
+  std::optional<UnionSubstitute> FindUnionSubstitute(
+      const SpjgQuery& query, QueryContext& ctx) override {
+    return inner_->FindUnionSubstitute(query, ctx);
+  }
+  const ViewDefinition& ResolveView(ViewId id) const override {
+    return inner_->ResolveView(id);
+  }
+
+ private:
+  SubstituteSource* inner_;
+};
+
+TEST_F(OptimizerViewTest, EqualCostViewsTieBreakIndependentOfSourceOrder) {
+  // Two identical views cost exactly the same; "tie_b" is registered
+  // first, so the source lists it first, and the reversed source lists
+  // "tie_a" first.
+  auto definition = [this](bool is_view) {
+    SpjgBuilder b(&catalog_);
+    int l = b.AddTable("lineitem");
+    int o = b.AddTable("orders");
+    b.Where(Eq(b.Col(l, "l_orderkey"), b.Col(o, "o_orderkey")));
+    b.Output(b.Col(o, "o_custkey"));
+    if (is_view) b.Output(Expr::MakeAggregate(AggKind::kCountStar, nullptr));
+    b.Output(Expr::MakeAggregate(AggKind::kSum, b.Col(l, "l_quantity")),
+             "q");
+    b.GroupBy(b.Col(o, "o_custkey"));
+    return b.Build();
+  };
+  AddMaterializedView("tie_b", definition(true));
+  AddMaterializedView("tie_a", definition(true));
+  const SpjgQuery query = definition(false);
+
+  ReversedSource reversed(&service_);
+  OptimizationResult forward =
+      Optimizer(&catalog_, &service_).Optimize(query);
+  OptimizationResult backward =
+      Optimizer(&catalog_, &reversed).Optimize(query);
+  ASSERT_NE(forward.plan, nullptr);
+  ASSERT_NE(backward.plan, nullptr);
+  const std::string plan = forward.plan->ToString(catalog_);
+  EXPECT_EQ(plan, backward.plan->ToString(catalog_));
+  EXPECT_NE(plan.find("tie_a"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("tie_b"), std::string::npos) << plan;
+}
+
 class OptimizerPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OptimizerPropertyTest, BestPlansMatchReferenceWithAndWithoutViews) {

@@ -147,6 +147,38 @@ TEST_F(RecoveryTest, UnreplayableEntryIsQuarantinedNotFatal) {
 
 #ifdef MVOPT_FAILPOINTS
 
+TEST_F(RecoveryTest, CompileFailureDuringRecoveryQuarantinesOnlyThatEntry) {
+  {
+    MatchingService service(&catalog_);
+    CatalogStore store(dir_);
+    service.AttachStore(&store);
+    std::string error;
+    for (size_t i = 0; i < view_defs_.size(); ++i) {
+      ASSERT_NE(service.AddView("v" + std::to_string(i), view_defs_[i],
+                                &error),
+                nullptr)
+          << error;
+    }
+  }
+  // The fifth replayed view fails to compile: it must leave neither a
+  // catalog entry nor a filter-tree leaf behind, or the next view, which
+  // takes over its id, would be indexed twice.
+  FailpointConfig fifth;
+  fifth.skip = 4;
+  FailpointRegistry::Instance().Enable("match_program.compile", fifth);
+  MatchingService reborn(&catalog_);
+  CatalogStore store(dir_);
+  RecoveryReport report = reborn.RecoverFrom(&store);
+  FailpointRegistry::Instance().DisableAll();
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].name, "v4");
+  EXPECT_EQ(report.views_recovered,
+            static_cast<int64_t>(view_defs_.size()) - 1);
+  EXPECT_EQ(reborn.views().FindView("v4"), nullptr);
+  EXPECT_EQ(reborn.filter_tree().num_views(), reborn.views().num_views());
+  ExpectAuditGreen(reborn);
+}
+
 TEST_F(RecoveryTest, KillAtEveryFailpointNeverLosesACommittedView) {
   // One failure site per iteration; within an iteration: register views
   // before arming (committed), one under the armed site (outcome decided
