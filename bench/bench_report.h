@@ -15,13 +15,13 @@
 // to stderr; stdout carries only the document.
 //
 // Usage:
-//   JsonReport report("pipeline_scaling");
-//   report.Caveat("speedup > 1 requires real cores");
+//   JsonReport report("snapshot_scaling");
+//   report.Caveat("threads > host_hw_threads oversubscribe");
 //   report.Meta("queries", num_queries);
 //   ...
 //   report.BeginRow();
-//   report.Field("workers", w);
-//   report.Field("seconds", secs);
+//   report.Field("threads", t);
+//   report.Field("probes_per_sec_median", rate);
 //   report.EndRow();
 //   ...
 //   report.Finish();   // also run by the destructor

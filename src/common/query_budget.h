@@ -104,9 +104,7 @@ class QueryBudget {
   uint64_t max_staleness() const { return max_staleness_; }
 
   bool has_deadline() const { return has_deadline_; }
-  /// The absolute deadline (meaningful only when has_deadline()). The
-  /// parallel match stage snapshots this so worker threads can compare
-  /// against the clock without touching the (non-thread-safe) budget.
+  /// The absolute deadline (meaningful only when has_deadline()).
   Clock::time_point deadline() const { return deadline_; }
   bool exhausted() const { return reason_ != DegradationReason::kNone; }
   DegradationReason reason() const {
@@ -126,14 +124,6 @@ class QueryBudget {
          advisory_ != DegradationReason::kPartialCatalog)) {
       advisory_ = reason;
     }
-  }
-
-  /// Hard-exhausts the budget with `reason` (first reason wins, like any
-  /// other limit). Used by the parallel match stage to charge, after the
-  /// workers join, a deadline its workers observed mid-stage — the
-  /// budget itself is never touched off the owning thread.
-  void MarkExhausted(DegradationReason reason) {
-    if (reason_ == DegradationReason::kNone) reason_ = reason;
   }
 
   /// Clears the sticky degradation state and the per-query usage

@@ -13,15 +13,12 @@
 //     golden-order tests watch the staged pipeline without a registry),
 //   - the staleness tolerance (merged with the budget's, maximum wins),
 //   - the query's RNG seed (deterministic tie-breaking / sampling for
-//     layers that need randomness; never consult a global generator),
-//   - the match-stage parallelism knobs (a borrowed ThreadPool and the
-//     minimum candidate count that justifies fanning out).
+//     layers that need randomness; never consult a global generator).
 //
 // A context is per-query state and is NOT thread-safe; give each
-// concurrent optimization its own instance (the pool it borrows may be
-// shared — ThreadPool::RunBatch is). A default-constructed context is
-// byte-for-byte equivalent to the legacy no-budget/no-trace call paths:
-// no deadline, fresh-views-only, serial matching.
+// concurrent optimization its own instance. A default-constructed
+// context is byte-for-byte equivalent to the legacy no-budget/no-trace
+// call paths: no deadline, fresh-views-only.
 
 #ifndef MVOPT_COMMON_QUERY_CONTEXT_H_
 #define MVOPT_COMMON_QUERY_CONTEXT_H_
@@ -36,7 +33,6 @@
 namespace mvopt {
 
 class QueryTrace;  // observe/trace.h (layered above common/)
-class ThreadPool;  // common/thread_pool.h
 
 class QueryContext {
  public:
@@ -136,22 +132,6 @@ class QueryContext {
   void set_rng_seed(uint64_t seed) { rng_seed_ = seed; }
   uint64_t rng_seed() const { return rng_seed_; }
 
-  // --- match-stage parallelism --------------------------------------------
-
-  /// Borrows a thread pool for the match stage. Null (the default) keeps
-  /// the stage serial — plans and substitute ordering byte-identical to
-  /// the pre-pipeline implementation. The pool may be shared across
-  /// concurrent queries and must outlive every context borrowing it.
-  void set_match_pool(ThreadPool* pool) { match_pool_ = pool; }
-  ThreadPool* match_pool() const { return match_pool_; }
-
-  /// Candidate count below which the match stage stays serial even with
-  /// a pool attached (dispatch overhead beats the win on tiny sets —
-  /// with the filter tree at the paper's prune ratios most probes leave
-  /// a handful of candidates).
-  void set_min_parallel_candidates(int n) { min_parallel_candidates_ = n; }
-  int min_parallel_candidates() const { return min_parallel_candidates_; }
-
  private:
   QueryBudget* budget_ = nullptr;
   std::unique_ptr<QueryBudget> owned_budget_;
@@ -161,8 +141,6 @@ class QueryContext {
   bool suppress_trace_ = false;
   uint64_t max_staleness_ = 0;
   uint64_t rng_seed_ = 0x9e3779b97f4a7c15ull;
-  ThreadPool* match_pool_ = nullptr;
-  int min_parallel_candidates_ = 4;
 };
 
 }  // namespace mvopt

@@ -11,9 +11,9 @@
 // the annotations are free documentation.
 //
 // The annotated capability types the rest of the tree uses (Mutex,
-// SharedMutex, MutexLock, ReaderLock, WriterLock, CondVar) live in
-// common/mutex.h; raw std::mutex / std::shared_mutex members are
-// invisible to the analysis and should not be used for shared state.
+// MutexLock, CondVar) live in common/mutex.h; raw std::mutex members
+// are invisible to the analysis and should not be used for shared
+// state.
 //
 // tools/ci/run_static_analysis.sh builds the tree with the gate on and
 // additionally proves the gate *bites* via a negative-compile harness
@@ -44,7 +44,7 @@
 #define MVOPT_CAPABILITY(x) MVOPT_TSA_(capability(x))
 
 /// Marks an RAII type whose constructor acquires and destructor
-/// releases a capability (MutexLock, ReaderLock, ...).
+/// releases a capability (MutexLock).
 #define MVOPT_SCOPED_CAPABILITY MVOPT_TSA_(scoped_lockable)
 
 // --- data annotations ------------------------------------------------------

@@ -137,8 +137,8 @@ class ViewLifecycleRegistry {
 
   /// The prefilter decision for one candidate, combining the sidelined
   /// screen with the staleness gate; performs the opportunistic
-  /// FRESH -> STALE transition when a lag is observed. Safe under the
-  /// service's shared lock from any number of probe threads.
+  /// FRESH -> STALE transition when a lag is observed. Safe from any
+  /// number of concurrent probe threads without a lock.
   ProbeGate GateForProbe(ViewId id, uint64_t lag, uint64_t tolerance);
 
   /// Records a soundness-checker rejection. With `quarantine_threshold`

@@ -95,9 +95,8 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
   // Phase 1: one writer registers the remaining views while reader
   // threads hammer every query. Each probe must complete against a
   // consistent snapshot — no crash, no torn candidate set. Readers run
-  // a bounded number of rounds and yield between them: shared_mutex
-  // implementations may prefer readers, and an unbounded probe loop
-  // could starve the writer indefinitely.
+  // a bounded number of rounds and yield between them, so the writer
+  // gets CPU time even on a host with fewer cores than threads.
   std::atomic<int64_t> probes{0};
   std::thread writer([&] {
     AddViewRange(&service, kInitialViews, kNumViews);

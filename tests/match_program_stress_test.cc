@@ -2,9 +2,9 @@
 // race AddView (which clones the catalog, compiles a fresh program and
 // republishes the snapshot) while another thread flips the cross-check
 // mode at runtime. Run under MVOPT_SANITIZE=thread in CI — the point is
-// that programs are immutable after publication, the shared
-// MatchProbeContext is read-only, and scratch state is thread-local, so
-// TSan must stay silent and enforce-mode must never find a mismatch.
+// that programs are immutable after publication and each probe's
+// MatchProbeContext and scratch are its own, so TSan must stay silent
+// and enforce-mode must never find a mismatch.
 
 #include <atomic>
 #include <chrono>
@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 #include "index/matching_service.h"
 #include "rewrite/match_program.h"
 #include "tpch/schema.h"
@@ -132,11 +131,13 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
 }
 
 TEST_F(MatchProgramStressTest, ParallelPipelineAgreesWithSerialAcrossTiers) {
-  // The staged pipeline's parallel chunks each use worker-local scratch;
-  // serial and parallel probes must agree exactly with the generic tier
-  // across worker counts 0/1/4 and both ProbeModes, with enforce-mode
-  // cross-check replaying every compiled verdict against the oracle.
+  // kNumReaders prober threads run the staged pipeline at once against
+  // one compiled-tier service under enforce-mode cross-check (every
+  // compiled verdict replayed against the oracle). Each keeps its own
+  // MatchProgramScratch per probe; if probes shared mutable match state,
+  // their answers would diverge from the all-generic serial reference.
   std::vector<std::vector<ViewId>> expected;
+  MatchingStats reference_stats;
   {
     MatchingService::Options serial;
     serial.compile_match_programs = false;
@@ -150,35 +151,60 @@ TEST_F(MatchProgramStressTest, ParallelPipelineAgreesWithSerialAcrossTiers) {
       }
       expected.push_back(ids);
     }
+    reference_stats = service.stats();
   }
-  for (MatchingService::ProbeMode mode :
-       {MatchingService::ProbeMode::kSnapshot,
-        MatchingService::ProbeMode::kReaderLock}) {
-    MatchingService::Options opts;
-    opts.cross_check = MatchCrossCheck::kEnforce;
-    opts.use_filter_tree = false;
-    opts.probe_mode = mode;
-    MatchingService service(&catalog_, opts);
-    AddViewRange(&service, 0, kNumViews);
-    for (int workers : {0, 1, 4}) {
-      ThreadPool pool(workers);
-      for (size_t q = 0; q < queries_.size(); ++q) {
-        QueryContext ctx;
-        ctx.set_match_pool(&pool);
-        std::vector<ViewId> ids;
-        for (const Substitute& s : service.FindSubstitutes(queries_[q], ctx)) {
-          ids.push_back(s.view_id);
+  MatchingService::Options opts;
+  opts.cross_check = MatchCrossCheck::kEnforce;
+  opts.use_filter_tree = false;
+  MatchingService service(&catalog_, opts);
+  AddViewRange(&service, 0, kNumViews);
+
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<ViewId>>> got(
+      kNumReaders, std::vector<std::vector<ViewId>>(queries_.size()));
+  std::vector<std::thread> probers;
+  for (int t = 0; t < kNumReaders; ++t) {
+    probers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Every thread sweeps every query, from its own offset.
+        for (size_t k = 0; k < queries_.size(); ++k) {
+          const size_t q = (k + static_cast<size_t>(t) * 7) % queries_.size();
+          std::vector<ViewId> ids;
+          QueryContext ctx;
+          for (const Substitute& s :
+               service.FindSubstitutes(queries_[q], ctx)) {
+            ids.push_back(s.view_id);
+          }
+          if (round == 0) {
+            got[t][q] = std::move(ids);
+          } else {
+            EXPECT_EQ(ids, got[t][q]) << "prober " << t << " query " << q;
+          }
         }
-        EXPECT_EQ(ids, expected[q])
-            << "mode=" << static_cast<int>(mode) << " workers=" << workers
-            << " query=" << q;
       }
+    });
+  }
+  for (std::thread& p : probers) p.join();
+
+  for (int t = 0; t < kNumReaders; ++t) {
+    for (size_t q = 0; q < queries_.size(); ++q) {
+      EXPECT_EQ(got[t][q], expected[q]) << "prober " << t << " query " << q;
     }
-    MatchingStats stats = service.stats();
-    EXPECT_EQ(stats.compiled_hits + stats.compiled_fallbacks,
-              stats.full_tests);
-    EXPECT_GT(stats.compiled_hits, 0);
-    EXPECT_EQ(stats.cross_check_mismatches, 0);
+  }
+  // Enforce mode found no disagreement, so the tier-independent counters
+  // are exactly kNumReaders * kRounds passes of the generic reference.
+  const int64_t passes = int64_t{kNumReaders} * kRounds;
+  MatchingStats stats = service.stats();
+  EXPECT_EQ(stats.compiled_hits + stats.compiled_fallbacks, stats.full_tests);
+  EXPECT_GT(stats.compiled_hits, 0);
+  EXPECT_EQ(stats.cross_check_mismatches, 0);
+  EXPECT_EQ(stats.invocations, reference_stats.invocations * passes);
+  EXPECT_EQ(stats.candidates, reference_stats.candidates * passes);
+  EXPECT_EQ(stats.full_tests, reference_stats.full_tests * passes);
+  EXPECT_EQ(stats.substitutes, reference_stats.substitutes * passes);
+  for (size_t i = 0; i < stats.rejects.size(); ++i) {
+    EXPECT_EQ(stats.rejects[i], reference_stats.rejects[i] * passes)
+        << "reason " << i;
   }
 }
 

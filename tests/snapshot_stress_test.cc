@@ -1,7 +1,7 @@
 // Multi-threaded stress for the lock-free probe path (DESIGN.md §15):
 // probes racing snapshot publication, epoch-based reclamation under
-// churn, lifecycle quarantine/readmission flapping mid-probe, and the
-// pooled-vs-serial stats contract on the snapshot path. Run under
+// churn, lifecycle quarantine/readmission flapping mid-probe, exact
+// stats and per-query deadlines under concurrent probes. Run under
 // MVOPT_SANITIZE=thread in CI — the interesting failures here are
 // use-after-free of a retired snapshot and torn probe state, which TSan
 // and ASan surface even when the assertions below stay green.
@@ -18,7 +18,6 @@
 
 #include "common/epoch_reclaim.h"
 #include "common/query_context.h"
-#include "common/thread_pool.h"
 #include "index/matching_service.h"
 #include "tpch/schema.h"
 #include "tpch/workload.h"
@@ -171,16 +170,15 @@ TEST_F(SnapshotStressTest, LifecycleReadmissionRacesProbes) {
   }
 }
 
-// Stats determinism on the snapshot path: N concurrent pooled passes
-// must land on exactly N× the serial single-threaded counters — the
-// probe-atomic ProbeDelta commit may not lose or double-count under the
-// lock-free pinning.
-TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
+// Stats determinism on the snapshot path: kRounds concurrent passes by
+// plain prober threads must land on exactly kRounds times the serial
+// single-threaded counters — the probe-atomic ProbeDelta commit may not
+// lose or double-count under the lock-free pinning.
+TEST_F(SnapshotStressTest, ConcurrentProbeStatsAreExactlyNTimesSerial) {
   MatchingService::Options options;
-  options.use_filter_tree = false;  // all views candidates => pool fans out
+  options.use_filter_tree = false;  // all views candidates: long match stage
   MatchingService service(&catalog_, options);
   AddViewRange(&service, 0, kNumViews);
-  ThreadPool pool(4);
 
   constexpr int kRounds = 8;
   std::vector<std::thread> probers;
@@ -189,7 +187,6 @@ TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumProbers) {
           QueryContext ctx;
-          ctx.set_match_pool(&pool);
           (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
@@ -210,9 +207,56 @@ TEST_F(SnapshotStressTest, PooledAndSerialStatsAgreeOnSnapshotPath) {
   EXPECT_EQ(got.budget_truncations, expected.budget_truncations * kRounds);
   EXPECT_EQ(got.quarantine_skips, expected.quarantine_skips * kRounds);
   EXPECT_EQ(got.stale_tolerated, expected.stale_tolerated * kRounds);
+  EXPECT_EQ(got.compiled_hits, expected.compiled_hits * kRounds);
+  EXPECT_EQ(got.compiled_fallbacks, expected.compiled_fallbacks * kRounds);
   for (size_t i = 0; i < got.rejects.size(); ++i) {
     EXPECT_EQ(got.rejects[i], expected.rejects[i] * kRounds) << "reason " << i;
   }
+}
+
+// Budgets are per query: half the probers run with an already-expired
+// deadline, the rest ungoverned, all against one service at once. The
+// expired ones must come back empty and exhausted, the ungoverned ones
+// must still get full answers — one query's deadline must never cut
+// another's probe short.
+TEST_F(SnapshotStressTest, DeadlinesStayIsolatedPerConcurrentProbe) {
+  MatchingService::Options options;
+  options.use_filter_tree = false;
+  MatchingService service(&catalog_, options);
+  AddViewRange(&service, 0, kNumViews);
+  std::vector<std::vector<ViewId>> expected;
+  {
+    MatchingService reference(&catalog_, options);
+    AddViewRange(&reference, 0, kNumViews);
+    for (const SpjgQuery& q : queries_) {
+      expected.push_back(Signature(reference.FindSubstitutes(q)));
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kNumProbers; ++t) {
+    const bool expired = (t % 2 == 0);
+    threads.emplace_back([&, t, expired] {
+      for (int round = 0; round < 6; ++round) {
+        for (size_t q = t; q < queries_.size(); q += kNumProbers) {
+          QueryContext ctx;
+          if (expired) {
+            ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
+                                             std::chrono::milliseconds(1));
+          }
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
+          if (expired) {
+            EXPECT_TRUE(subs.empty());
+            EXPECT_TRUE(ctx.exhausted());
+          } else {
+            EXPECT_EQ(Signature(subs), expected[q]) << "query " << q;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 // The reclamation safety property in isolation: a block reachable

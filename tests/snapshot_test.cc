@@ -1,12 +1,12 @@
 // Immutable-snapshot probe path (DESIGN.md §15): EpochDomain unit
 // semantics, snapshot publication/reclamation bookkeeping, and the
-// cross-check the refactor is held to — probe results, ordering and
-// stats byte-identical between ProbeMode::kSnapshot (lock-free, pinned
-// snapshot) and ProbeMode::kReaderLock (the pre-snapshot shared-lock
-// discipline).
+// cross-check the probe path is held to — probes running concurrently
+// against one service return results, ordering and stats byte-identical
+// to the same probes run serially against a reference service.
 
 #include <atomic>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -148,7 +148,7 @@ class SnapshotTest : public ::testing::Test {
 
 /// Structural fingerprint of one substitute, position-sensitive: the
 /// cross-check compares sequences of these, so ordering differences
-/// between the two probe modes fail loudly.
+/// between concurrent and serial probes fail loudly.
 using SubFp = std::tuple<ViewId, uint64_t, size_t, size_t, size_t, size_t,
                          bool>;
 
@@ -165,76 +165,114 @@ std::vector<SubFp> Fingerprints(const std::vector<Substitute>& subs) {
   return out;
 }
 
-void ExpectStatsEqual(const MatchingStats& a, const MatchingStats& b) {
-  EXPECT_EQ(a.invocations, b.invocations);
-  EXPECT_EQ(a.candidates, b.candidates);
-  EXPECT_EQ(a.full_tests, b.full_tests);
-  EXPECT_EQ(a.substitutes, b.substitutes);
-  EXPECT_EQ(a.match_failures, b.match_failures);
-  EXPECT_EQ(a.budget_truncations, b.budget_truncations);
-  EXPECT_EQ(a.quarantine_skips, b.quarantine_skips);
-  EXPECT_EQ(a.stale_tolerated, b.stale_tolerated);
-  for (size_t i = 0; i < a.rejects.size(); ++i) {
-    EXPECT_EQ(a.rejects[i], b.rejects[i]) << "reject reason " << i;
+/// `got` must equal `n` copies of `one` merged: n concurrent passes of
+/// the probes `one` counts, with no increment lost or double-counted.
+void ExpectStatsScaled(const MatchingStats& got, const MatchingStats& one,
+                       int n) {
+  MatchingStats want;
+  for (int i = 0; i < n; ++i) want.MergeFrom(one);
+  EXPECT_EQ(got.invocations, want.invocations);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.full_tests, want.full_tests);
+  EXPECT_EQ(got.substitutes, want.substitutes);
+  EXPECT_EQ(got.match_failures, want.match_failures);
+  EXPECT_EQ(got.budget_truncations, want.budget_truncations);
+  EXPECT_EQ(got.quarantine_skips, want.quarantine_skips);
+  EXPECT_EQ(got.stale_tolerated, want.stale_tolerated);
+  EXPECT_EQ(got.compiled_hits, want.compiled_hits);
+  EXPECT_EQ(got.compiled_fallbacks, want.compiled_fallbacks);
+  EXPECT_EQ(got.cross_check_mismatches, want.cross_check_mismatches);
+  for (size_t i = 0; i < got.rejects.size(); ++i) {
+    EXPECT_EQ(got.rejects[i], want.rejects[i]) << "reject reason " << i;
   }
 }
 
-MatchingService::Options ModeOptions(MatchingService::ProbeMode mode) {
-  MatchingService::Options options;
-  options.probe_mode = mode;
-  return options;
+/// One query's answers: the FindSubstitutes sequence and the union
+/// legs (empty when no union substitute exists).
+struct ProbeAnswer {
+  std::vector<SubFp> subs;
+  bool has_union = false;
+  std::vector<SubFp> union_legs;
+};
+
+ProbeAnswer Probe(MatchingService* service, const SpjgQuery& query) {
+  ProbeAnswer answer;
+  QueryContext ctx;
+  answer.subs = Fingerprints(service->FindSubstitutes(query, ctx));
+  QueryContext uctx;
+  const auto u = service->FindUnionSubstitute(query, uctx);
+  answer.has_union = u.has_value();
+  if (u.has_value()) answer.union_legs = Fingerprints(u->legs);
+  return answer;
 }
 
-// The acceptance cross-check: identical registrations probed through
-// both modes produce byte-identical results (sequence of structural
-// fingerprints — ordering included) and byte-identical stats, for both
-// FindSubstitutes and FindUnionSubstitute, before and after lifecycle
-// transitions (quarantine + readmission).
-TEST_F(SnapshotTest, SnapshotAndReaderLockProbesAreByteIdentical) {
-  MatchingService snapshot(
-      &catalog_, ModeOptions(MatchingService::ProbeMode::kSnapshot));
-  MatchingService locked(
-      &catalog_, ModeOptions(MatchingService::ProbeMode::kReaderLock));
-  SeedViews(&snapshot);
-  SeedViews(&locked);
+// The acceptance cross-check: identical registrations, one service
+// probed serially and the other by kProbers threads at once, each thread
+// sweeping every query from its own starting offset so different queries
+// overlap. Every thread's answer to every query must equal the serial
+// one (structural fingerprints, ordering included, for FindSubstitutes
+// and FindUnionSubstitute), and the concurrent service's stats must be
+// exactly kProbers times the serial service's — before and after
+// lifecycle transitions (quarantine + readmission). Any probe-path state
+// shared between concurrent probes shows up here as a differing answer
+// or a lost count (and as a race under TSan).
+TEST_F(SnapshotTest, ConcurrentProbesMatchASerialReference) {
+  constexpr int kProbers = 4;
+  MatchingService reference(&catalog_);
+  MatchingService shared(&catalog_);
+  SeedViews(&reference);
+  SeedViews(&shared);
 
   auto cross_check = [&] {
-    for (size_t qi = 0; qi < queries_.size(); ++qi) {
-      QueryContext ctx_a, ctx_b;
-      const std::vector<Substitute> a =
-          snapshot.FindSubstitutes(queries_[qi], ctx_a);
-      const std::vector<Substitute> b =
-          locked.FindSubstitutes(queries_[qi], ctx_b);
-      EXPECT_EQ(Fingerprints(a), Fingerprints(b)) << "query " << qi;
+    std::vector<ProbeAnswer> want;
+    for (const SpjgQuery& q : queries_) want.push_back(Probe(&reference, q));
+    ASSERT_GT(reference.stats().substitutes, 0) << "nothing to compare";
 
-      QueryContext uctx_a, uctx_b;
-      const auto ua = snapshot.FindUnionSubstitute(queries_[qi], uctx_a);
-      const auto ub = locked.FindUnionSubstitute(queries_[qi], uctx_b);
-      ASSERT_EQ(ua.has_value(), ub.has_value()) << "query " << qi;
-      if (ua.has_value()) {
-        EXPECT_EQ(Fingerprints(ua->legs), Fingerprints(ub->legs))
-            << "query " << qi;
+    const size_t n = queries_.size();
+    std::vector<std::vector<ProbeAnswer>> got(
+        kProbers, std::vector<ProbeAnswer>(n));
+    std::atomic<int> ready{0};
+    std::vector<std::thread> probers;
+    for (int t = 0; t < kProbers; ++t) {
+      probers.emplace_back([&, t] {
+        // Start together so the sweeps overlap.
+        ready.fetch_add(1);
+        while (ready.load() < kProbers) std::this_thread::yield();
+        for (size_t k = 0; k < n; ++k) {
+          const size_t qi = (k + static_cast<size_t>(t) * 5) % n;
+          got[t][qi] = Probe(&shared, queries_[qi]);
+        }
+      });
+    }
+    for (std::thread& p : probers) p.join();
+
+    for (int t = 0; t < kProbers; ++t) {
+      for (size_t qi = 0; qi < n; ++qi) {
+        EXPECT_EQ(got[t][qi].subs, want[qi].subs)
+            << "prober " << t << " query " << qi;
+        EXPECT_EQ(got[t][qi].has_union, want[qi].has_union)
+            << "prober " << t << " query " << qi;
+        EXPECT_EQ(got[t][qi].union_legs, want[qi].union_legs)
+            << "prober " << t << " query " << qi;
       }
     }
-    ExpectStatsEqual(snapshot.stats(), locked.stats());
+    ExpectStatsScaled(shared.stats(), reference.stats(), kProbers);
   };
 
   cross_check();
 
-  // Lifecycle transition on both sides: sideline one view, re-check,
-  // readmit, re-check. The snapshot path republished twice; the
-  // reader-lock path mutated the same published structures — results
-  // must stay indistinguishable throughout.
-  ASSERT_TRUE(snapshot.ReportChecksumMismatch(1));
-  ASSERT_TRUE(locked.ReportChecksumMismatch(1));
-  snapshot.ResetStats();
-  locked.ResetStats();
+  // Lifecycle transition on both sides: sideline one view (republishes
+  // without it), re-check, readmit (republishes with it), re-check.
+  ASSERT_TRUE(reference.ReportChecksumMismatch(1));
+  ASSERT_TRUE(shared.ReportChecksumMismatch(1));
+  reference.ResetStats();
+  shared.ResetStats();
   cross_check();
 
-  ASSERT_TRUE(snapshot.ReadmitView(1));
-  ASSERT_TRUE(locked.ReadmitView(1));
-  snapshot.ResetStats();
-  locked.ResetStats();
+  ASSERT_TRUE(reference.ReadmitView(1));
+  ASSERT_TRUE(shared.ReadmitView(1));
+  reference.ResetStats();
+  shared.ResetStats();
   cross_check();
 }
 

@@ -41,16 +41,16 @@ run_thread() {
     -DMVOPT_SANITIZE=thread >/dev/null
   echo "=== thread: build ==="
   cmake --build "${build_dir}" \
-    --target concurrency_stress_test pipeline_stress_test \
+    --target concurrency_stress_test snapshot_test \
              snapshot_stress_test serving_chaos_test shard_chaos_test \
              match_program_stress_test \
              -j "${jobs}"
   echo "=== thread: test ==="
   # TSan only pays off on the multi-threaded suites (the `stress` ctest
-  # label): catalog concurrency, the parallel match-stage pipeline
-  # (probes sharing one ThreadPool while AddView proceeds), the
-  # lock-free snapshot probe path (probes pinned on snapshots being
-  # retired by concurrent publication and lifecycle flaps), the
+  # label): catalog concurrency, concurrent probes cross-checked
+  # against a serial reference, the lock-free snapshot probe path
+  # (probes pinned on snapshots being retired by concurrent publication
+  # and lifecycle flaps), the
   # serving chaos soak (tenant threads racing admission, quota flips,
   # failpoint faults, and drain), and the sharded-catalog chaos soak
   # (probes and AddView racing quarantine, scrub readmission and
