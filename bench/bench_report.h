@@ -29,11 +29,13 @@
 #ifndef MVOPT_BENCH_BENCH_REPORT_H_
 #define MVOPT_BENCH_BENCH_REPORT_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace mvopt {
 namespace bench {
@@ -68,6 +70,17 @@ inline std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+/// Linearly interpolated quantile of a sample (q in [0, 1]); the median
+/// and p10/p90 spread that rep-based benches report. `v` is non-empty.
+inline double Quantile(std::vector<double> v, double q) {
+  assert(!v.empty());
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
 }
 
 class JsonReport {

@@ -43,14 +43,6 @@ using Clock = std::chrono::steady_clock;
 constexpr int kSizes[] = {250, 500, 1000, 2000, 4000};
 constexpr int kWindow = 100;
 
-double Quantile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
 void Register(MatchingService* service, const std::vector<SpjgQuery>& defs,
               int i) {
   std::string error;

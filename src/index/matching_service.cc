@@ -449,12 +449,24 @@ uint64_t MatchingService::StalenessLag(ViewId id) const {
 std::vector<ViewId> MatchingService::StageProbe(const CatalogSnapshot& snap,
                                                 const SpjgQuery& query,
                                                 QueryContext& ctx,
-                                                FilterSearchStats* fstats) {
+                                                FilterSearchStats* fstats,
+                                                ProbeAnalysis* analysis) {
   std::vector<ViewId> candidates;
   if (snap.views.num_views() == 0) return candidates;
+  if (!analysis->analyzed) {
+    analysis->analyzed = true;
+    analysis->context = AnalyzeQuery(*catalog_, query, options_.match);
+    if (options_.use_filter_tree) {
+      // The keys include check constraints whatever the match options
+      // say (view_description.h); without them in the analysis, the keys
+      // get an analysis of their own.
+      analysis->keys = options_.match.use_check_constraints
+                           ? DescribeQuery(analysis->context)
+                           : DescribeQuery(*catalog_, query);
+    }
+  }
   if (options_.use_filter_tree) {
-    QueryDescription qd = DescribeQuery(*catalog_, query);
-    candidates = snap.tree.FindCandidates(qd, fstats, ctx.budget());
+    candidates = snap.tree.FindCandidates(analysis->keys, fstats, ctx.budget());
   } else {
     // Without the index every view description must be considered; the
     // only cheap pre-test retained is the aggregation/table-set screen
@@ -512,26 +524,15 @@ std::vector<MatchingService::GatedCandidate> MatchingService::StagePrefilter(
 }
 
 std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
-    const CatalogSnapshot& snap, const SpjgQuery& query,
-    const std::vector<GatedCandidate>& gated, QueryContext& ctx,
-    bool* truncated) {
+    const CatalogSnapshot& snap, const std::vector<GatedCandidate>& gated,
+    QueryContext& ctx, bool* truncated, MatchProbeContext* analysis) {
   std::vector<MatchOutcome> outcomes(gated.size());
   if (gated.empty() || ctx.exhausted()) return outcomes;
 
-  // Tier dispatch setup: the query-side context is built once per probe,
-  // and only when some gated candidate actually carries a compiled
-  // program (an all-generic catalog pays nothing).
-  bool any_compiled = false;
-  for (const GatedCandidate& g : gated) {
-    if (snap.views.program(g.id) != nullptr) {
-      any_compiled = true;
-      break;
-    }
-  }
-  std::optional<MatchProbeContext> pctx;
-  if (any_compiled) {
-    pctx.emplace(BuildMatchProbeContext(*catalog_, query, options_.match));
-  }
+  // Both tiers read the match-stage half of the probe analysis; it is
+  // built here, so a probe whose candidates all die in the filter or
+  // the prefilter never pays for it.
+  CompleteMatchProbeContext(analysis);
   // Per-candidate timing feeds the per-tier latency histograms; skipped
   // entirely (no clock reads) when counters are off.
   const bool timed = metrics_.match_latency[0] != nullptr;
@@ -556,7 +557,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
           snap.views.program(view.id());
       bool decided = false;
       if (program != nullptr) {
-        MatchExecResult ex = ExecuteMatchProgram(*program, *pctx, scratch);
+        MatchExecResult ex = ExecuteMatchProgram(*program, *analysis, scratch);
         if (ex.status == MatchExecStatus::kDecided) {
           o.result = std::move(ex.result);
           o.tier = MatchTier::kCompiled;
@@ -564,7 +565,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
         }
       }
       if (!decided) {
-        o.result = matcher_.Match(query, view);
+        o.result = matcher_.Match(*analysis, view);
         o.tier = MatchTier::kGeneric;
       }
       o.kind = MatchOutcome::Kind::kDone;
@@ -579,7 +580,7 @@ std::vector<MatchingService::MatchOutcome> MatchingService::StageMatch(
 
 void MatchingService::StageCompensate(
     const CatalogSnapshot& snap, const SpjgQuery& query,
-    const std::vector<GatedCandidate>& gated,
+    const MatchProbeContext& analysis, const std::vector<GatedCandidate>& gated,
     std::vector<MatchOutcome>* outcomes, QueryContext& ctx, VerifyMode mode,
     MatchCrossCheck xmode, ProbeDelta* delta, std::vector<Substitute>* fresh,
     std::vector<Substitute>* stale) {
@@ -618,7 +619,7 @@ void MatchingService::StageCompensate(
     // one — so enforce-mode plans, ordering and stats are byte-identical
     // to the all-generic path by construction.
     if (o.tier == MatchTier::kCompiled && xmode != MatchCrossCheck::kOff) {
-      MatchResult oracle = matcher_.Match(query, snap.views.view(g.id));
+      MatchResult oracle = matcher_.Match(analysis, snap.views.view(g.id));
       if (!SameMatchVerdict(o.result, oracle)) {
         delta->stats.cross_check_mismatches += 1;
         if (trace != nullptr) {
@@ -688,7 +689,8 @@ void MatchingService::StageCompensate(
 }
 
 std::vector<Substitute> MatchingService::FindSubstitutesOn(
-    const CatalogSnapshot& snap, const SpjgQuery& query, QueryContext& ctx) {
+    const CatalogSnapshot& snap, const SpjgQuery& query, QueryContext& ctx,
+    ProbeAnalysis* analysis) {
   MVOPT_FAILPOINT("matching_service.find_substitutes");
   // One verify-mode (and cross-check-mode) snapshot per probe: a
   // concurrent flip applies to whole probes, never to half of one.
@@ -710,10 +712,11 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
   double total_seconds = 0;
   bool truncated = false;
 
-  // Stage 1 (probe): candidate enumeration.
+  // Stage 1 (probe): query analysis + candidate enumeration.
   FilterSearchStats fstats;
   FilterSearchStats* fstats_ptr = observing ? &fstats : nullptr;
-  std::vector<ViewId> candidates = StageProbe(snap, query, ctx, fstats_ptr);
+  std::vector<ViewId> candidates =
+      StageProbe(snap, query, ctx, fstats_ptr, analysis);
   delta.stats.candidates = static_cast<int64_t>(candidates.size());
   if (observing) {
     const double s = timer.Lap();
@@ -733,7 +736,7 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
 
   // Stage 3 (match): matcher runs, candidate order.
   std::vector<MatchOutcome> outcomes =
-      StageMatch(snap, query, gated, ctx, &truncated);
+      StageMatch(snap, gated, ctx, &truncated, &analysis->context);
   if (observing) {
     const double s = timer.Lap();
     total_seconds += s;
@@ -743,8 +746,8 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
   // Stage 4 (compensate): verification + accounting, candidate order.
   std::vector<Substitute> out;
   std::vector<Substitute> stale_out;  // tolerated-stale: ranked after fresh
-  StageCompensate(snap, query, gated, &outcomes, ctx, vmode, xmode, &delta,
-                  &out, &stale_out);
+  StageCompensate(snap, query, analysis->context, gated, &outcomes, ctx, vmode,
+                  xmode, &delta, &out, &stale_out);
   if (observing) {
     const double s = timer.Lap();
     total_seconds += s;
@@ -789,10 +792,16 @@ std::vector<Substitute> MatchingService::FindSubstitutesOn(
 
 std::vector<Substitute> MatchingService::FindSubstitutes(
     const SpjgQuery& query, QueryContext& ctx) {
+  ProbeAnalysis analysis;
+  return FindSubstitutesShared(query, ctx, &analysis);
+}
+
+std::vector<Substitute> MatchingService::FindSubstitutesShared(
+    const SpjgQuery& query, QueryContext& ctx, ProbeAnalysis* analysis) {
   // Pin the snapshot, probe lock-free. The pin blocks reclamation (not
   // publication) of the generation the probe walks.
   EpochPin pin(reclaim_);
-  return FindSubstitutesOn(*PinnedSnapshot(), query, ctx);
+  return FindSubstitutesOn(*PinnedSnapshot(), query, ctx, analysis);
 }
 
 std::vector<Substitute> MatchingService::FindSubstitutes(
@@ -1080,7 +1089,11 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstituteOn(
     ProbeDelta delta;  // quarantine skips only; not a FindSubstitutes probe
     const uint64_t tolerance = ctx.max_staleness();
     std::vector<ViewId> candidates;
-    QueryDescription qd = DescribeQuery(*catalog_, query);
+    std::vector<TableId> query_tables;
+    for (const TableRef& t : query.tables) query_tables.push_back(t.table);
+    std::sort(query_tables.begin(), query_tables.end());
+    query_tables.erase(std::unique(query_tables.begin(), query_tables.end()),
+                       query_tables.end());
     for (ViewId id = 0; id < snap.views.num_views(); ++id) {
       const uint64_t lag = StalenessLagOn(snap, id);
       switch (lifecycle_.GateForProbe(id, lag, tolerance)) {
@@ -1097,8 +1110,8 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstituteOn(
       if (d.is_aggregate) continue;
       bool tables_ok = std::includes(d.source_tables.begin(),
                                      d.source_tables.end(),
-                                     qd.source_tables.begin(),
-                                     qd.source_tables.end());
+                                     query_tables.begin(),
+                                     query_tables.end());
       if (tables_ok) candidates.push_back(id);
     }
     if (delta.stats.quarantine_skips != 0) CommitProbe(delta, nullptr);

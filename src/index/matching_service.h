@@ -86,6 +86,7 @@
 #include "rewrite/substitute_source.h"
 #include "rewrite/union_matcher.h"
 #include "rewrite/view_catalog.h"
+#include "rewrite/view_description.h"
 #include "rewrite/view_lifecycle.h"
 #include "verify/rewrite_checker.h"
 
@@ -387,6 +388,28 @@ class MatchingService : public SubstituteSource {
   bool IsQuarantined(ViewId id) const;
 
  private:
+  /// ShardedCatalogService shares one probe analysis across the shards a
+  /// probe is routed to (FindSubstitutesShared).
+  friend class ShardedCatalogService;
+
+  /// One probe's query analysis (rewrite/match_program.h) and the filter
+  /// keys read off it. Stage 1 builds both (once: a probe routed to
+  /// several shards reuses the first shard's); the match stage completes
+  /// the analysis only when some candidate survives the prefilter.
+  struct ProbeAnalysis {
+    bool analyzed = false;
+    MatchProbeContext context;
+    QueryDescription keys;
+  };
+
+  /// FindSubstitutes with a caller-owned analysis: `analysis` starts
+  /// empty or holds an earlier probe of the same query made by a service
+  /// with identical options (a sibling shard), and is filled or reused.
+  std::vector<Substitute> FindSubstitutesShared(const SpjgQuery& query,
+                                                QueryContext& ctx,
+                                                ProbeAnalysis* analysis)
+      MVOPT_EXCLUDES(mu_);
+
   /// Plain (non-atomic) verify counters, guarded by stats_mu_.
   struct VerifyCounters {
     int64_t checked = 0;
@@ -493,11 +516,13 @@ class MatchingService : public SubstituteSource {
 
   // --- pipeline stages (pure functions of the pinned snapshot) ------------
 
-  /// Stage 1 (probe): filter-tree candidate enumeration (or the full id
-  /// range when the tree is off).
+  /// Stage 1 (probe): analyzes the query (unless `analysis` already
+  /// holds it), then enumerates candidates — a filter-tree walk over the
+  /// analysis's keys, or the full id range when the tree is off.
   std::vector<ViewId> StageProbe(const CatalogSnapshot& snap,
                                  const SpjgQuery& query, QueryContext& ctx,
-                                 FilterSearchStats* fstats);
+                                 FilterSearchStats* fstats,
+                                 ProbeAnalysis* analysis);
   /// Stage 2 (prefilter): sidelined screen + staleness gate via
   /// ViewLifecycleRegistry::GateForProbe; ticks the deadline per
   /// candidate. Sets *truncated when the budget cut the walk short.
@@ -505,13 +530,14 @@ class MatchingService : public SubstituteSource {
       const CatalogSnapshot& snap, const std::vector<ViewId>& candidates,
       QueryContext& ctx, ProbeDelta* delta, int64_t* stale_rejects,
       bool* truncated);
-  /// Stage 3 (match): runs the matcher over the gated candidates in
-  /// order, ticking the deadline before each one; slots past an
-  /// exhausted deadline stay kSkipped and set *truncated.
+  /// Stage 3 (match): completes the probe analysis, then runs the
+  /// matcher over the gated candidates in order, ticking the deadline
+  /// before each one; slots past an exhausted deadline stay kSkipped and
+  /// set *truncated.
   std::vector<MatchOutcome> StageMatch(const CatalogSnapshot& snap,
-                                       const SpjgQuery& query,
                                        const std::vector<GatedCandidate>& gated,
-                                       QueryContext& ctx, bool* truncated);
+                                       QueryContext& ctx, bool* truncated,
+                                       MatchProbeContext* analysis);
   /// Stage 4 (compensate): candidate-order walk of the outcome slots —
   /// verification (soundness checker / quarantine bookkeeping), stats
   /// accounting and trace verdicts all happen here. `mode` is
@@ -523,6 +549,7 @@ class MatchingService : public SubstituteSource {
   /// enforce-mode output is byte-identical to the generic tier by
   /// construction.
   void StageCompensate(const CatalogSnapshot& snap, const SpjgQuery& query,
+                       const MatchProbeContext& analysis,
                        const std::vector<GatedCandidate>& gated,
                        std::vector<MatchOutcome>* outcomes, QueryContext& ctx,
                        VerifyMode mode, MatchCrossCheck xmode,
@@ -533,7 +560,8 @@ class MatchingService : public SubstituteSource {
   /// an EpochPin for the duration, which keeps `snap` alive.
   std::vector<Substitute> FindSubstitutesOn(const CatalogSnapshot& snap,
                                             const SpjgQuery& query,
-                                            QueryContext& ctx);
+                                            QueryContext& ctx,
+                                            ProbeAnalysis* analysis);
   std::optional<UnionSubstitute> FindUnionSubstituteOn(
       const CatalogSnapshot& snap, const SpjgQuery& query, QueryContext& ctx);
 

@@ -58,6 +58,15 @@ bool WinsCostTie(const PhysPlan& challenger, const PhysPlan& incumbent) {
 
 }  // namespace
 
+// Per memo mask: the mask's tables and conjuncts remapped into the
+// group's own slot space (remap[query slot] = group slot, -1 outside).
+// Built once per mask and shared by cardinality estimation and the
+// view-matching probes of the mask's SPJ and aggregate groups.
+struct Optimizer::MaskSignature {
+  std::vector<int32_t> remap;
+  SpjgQuery spj;  // tables + conjuncts only
+};
+
 struct Optimizer::Context {
   const SpjgQuery* query = nullptr;
   QueryContext* qctx = nullptr;   // the caller's per-query context
@@ -68,6 +77,7 @@ struct Optimizer::Context {
   std::vector<Group> groups;
   std::vector<AggSpec> agg_specs;
   std::map<uint32_t, double> card_cache;
+  std::map<uint32_t, MaskSignature> signatures;
   OptimizerMetrics metrics;
   QueryTrace* trace = nullptr;  // full-trace mode only
 
@@ -139,20 +149,29 @@ void Optimizer::RegisterMetrics() {
       "mvopt_optimize_latency_seconds", "Optimize wall-clock latency");
 }
 
-SpjgQuery Optimizer::GroupSignature(const Context& ctx,
-                                    const Group& group) const {
-  const SpjgQuery& q = *ctx.query;
-  SpjgQuery sig;
-  std::vector<int32_t> remap(q.num_tables(), -1);
+const Optimizer::MaskSignature& Optimizer::SignatureOf(Context* ctx,
+                                                       uint32_t mask) const {
+  auto [it, inserted] = ctx->signatures.try_emplace(mask);
+  MaskSignature& sig = it->second;
+  if (!inserted) return sig;
+  const SpjgQuery& q = *ctx->query;
+  sig.remap.assign(q.num_tables(), -1);
   for (int t = 0; t < q.num_tables(); ++t) {
-    if (group.mask & (1u << t)) {
-      remap[t] = static_cast<int32_t>(sig.tables.size());
-      sig.tables.push_back(q.tables[t]);
+    if (mask & (1u << t)) {
+      sig.remap[t] = static_cast<int32_t>(sig.spj.tables.size());
+      sig.spj.tables.push_back(q.tables[t]);
     }
   }
-  for (int ci : ctx.ConjunctsWithin(group.mask)) {
-    sig.conjuncts.push_back(q.conjuncts[ci]->RemapTableRefs(remap));
+  for (int ci : ctx->ConjunctsWithin(mask)) {
+    sig.spj.conjuncts.push_back(q.conjuncts[ci]->RemapTableRefs(sig.remap));
   }
+  return sig;
+}
+
+SpjgQuery Optimizer::GroupSignature(Context* ctx, const Group& group) const {
+  const MaskSignature& base = SignatureOf(ctx, group.mask);
+  const std::vector<int32_t>& remap = base.remap;
+  SpjgQuery sig = base.spj;
   if (group.agg_spec < 0) {
     for (size_t i = 0; i < group.required_columns.size(); ++i) {
       ColumnRefId c = group.required_columns[i];
@@ -162,7 +181,7 @@ SpjgQuery Optimizer::GroupSignature(const Context& ctx,
     }
     sig.is_aggregate = false;
   } else {
-    const AggSpec& spec = ctx.agg_specs[group.agg_spec];
+    const AggSpec& spec = ctx->agg_specs[group.agg_spec];
     for (const auto& g : spec.group_by) {
       sig.group_by.push_back(g->RemapTableRefs(remap));
     }
@@ -183,7 +202,7 @@ void Optimizer::ApplyViewMatching(Context* ctx, int group_id) {
   // rule entirely (the group keeps its base-table expressions).
   if (ctx->budget != nullptr && ctx->budget->TickDeadline()) return;
 
-  SpjgQuery sig = GroupSignature(*ctx, group);
+  SpjgQuery sig = GroupSignature(ctx, group);
   auto start = std::chrono::steady_clock::now();
   std::vector<Substitute> subs;
   try {
@@ -516,11 +535,7 @@ void Optimizer::ApplyPreAggregation(Context* ctx, int root_group) {
 double Optimizer::SpjCardinality(Context* ctx, uint32_t mask) {
   auto it = ctx->card_cache.find(mask);
   if (it != ctx->card_cache.end()) return it->second;
-  Group tmp;
-  tmp.mask = mask;
-  tmp.agg_spec = -1;
-  SpjgQuery sig = GroupSignature(*ctx, tmp);
-  double card = estimator_.EstimateSpj(sig);
+  double card = estimator_.EstimateSpj(SignatureOf(ctx, mask).spj);
   ctx->card_cache[mask] = card;
   return card;
 }

@@ -35,30 +35,20 @@ MatchProbeContext::CachedExpr CacheExpr(const ExprPtr& e) {
 
 }  // namespace
 
-MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
-                                         const SpjgQuery& query,
-                                         const MatchOptions& options) {
+MatchProbeContext AnalyzeQuery(const Catalog& catalog, const SpjgQuery& query,
+                               const MatchOptions& options) {
   MatchProbeContext ctx;
+  ctx.catalog = &catalog;
   ctx.query = &query;
   ctx.is_aggregate = query.is_aggregate;
+  ctx.use_check_constraints = options.use_check_constraints;
+  ctx.allow_nullable_fk_with_null_rejection =
+      options.allow_nullable_fk_with_null_rejection;
 
+  // The predicate decomposition and equivalence classes of §3.1.1–§3.1.2.
+  // Check constraints strengthen the antecedent of Wq => Wv; their
+  // equalities join the query classes.
   const int32_t num_slots = query.num_tables();
-  ctx.slot_by_table.reserve(static_cast<size_t>(num_slots));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx.slot_by_table.emplace_back(query.tables[t].table, t);
-  }
-  std::sort(ctx.slot_by_table.begin(), ctx.slot_by_table.end());
-  for (size_t i = 1; i < ctx.slot_by_table.size(); ++i) {
-    if (ctx.slot_by_table[i].first == ctx.slot_by_table[i - 1].first) {
-      ctx.has_dup_tables = true;
-      break;
-    }
-  }
-
-  // The predicate decomposition and equivalence classes the generic
-  // matcher builds per candidate (matcher.cc step 4) — for compiled
-  // candidates the unified table list IS the query's FROM list, so one
-  // copy serves every candidate of the probe.
   ctx.query_preds = ClassifyConjuncts(query.conjuncts);
   if (options.use_check_constraints) {
     std::vector<ExprPtr> check_conjuncts;
@@ -76,24 +66,6 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
   ctx.query_ec.AddEqualities(ctx.query_preds.equalities);
   ctx.query_ec.AddEqualities(ctx.check_preds.equalities);
 
-  ctx.col_base.resize(static_cast<size_t>(num_slots));
-  int32_t base = 0;
-  for (int32_t t = 0; t < num_slots; ++t) {
-    ctx.col_base[static_cast<size_t>(t)] = base;
-    base += catalog.table(query.tables[t].table).num_columns();
-  }
-  ctx.class_of.resize(static_cast<size_t>(base));
-  for (int32_t t = 0; t < num_slots; ++t) {
-    const int32_t ncols = catalog.table(query.tables[t].table).num_columns();
-    for (int32_t c = 0; c < ncols; ++c) {
-      ctx.class_of[static_cast<size_t>(ctx.col_base[static_cast<size_t>(t)] +
-                                       c)] =
-          ctx.query_ec.ClassOf(ColumnRefId{t, c});
-    }
-  }
-  ctx.num_classes = ctx.query_ec.NumClasses();
-
-  ctx.query_ranges = RangeMap::Build(ctx.query_preds.ranges, ctx.query_ec);
   std::vector<RangePred> checked = ctx.query_preds.ranges;
   checked.insert(checked.end(), ctx.check_preds.ranges.begin(),
                  ctx.check_preds.ranges.end());
@@ -107,32 +79,12 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
     ctx.check_residual_shapes.push_back(ComputeShape(*r));
   }
 
-  // The §3.2 nullable-FK relaxation set, built exactly as the generic
-  // matcher builds it (matcher.cc step 2) — query predicate columns are
-  // in query slot space there too, so membership carries over verbatim.
-  if (options.allow_nullable_fk_with_null_rejection) {
-    for (const auto& p : ctx.query_preds.ranges) {
-      ctx.null_rejected.push_back(p.column);
-    }
-    for (const auto& p : ctx.query_preds.equalities) {
-      ctx.null_rejected.push_back(p.lhs);
-      ctx.null_rejected.push_back(p.rhs);
-    }
-    for (const auto& r : ctx.query_preds.residual) {
-      std::vector<ColumnRefId> cols;
-      r->CollectColumnRefs(&cols);
-      for (ColumnRefId c : cols) {
-        if (IsNullRejectingOn(*r, c)) ctx.null_rejected.push_back(c);
-      }
-    }
-  }
-
   ctx.outputs.reserve(query.outputs.size());
   for (const auto& o : query.outputs) {
     MatchProbeContext::OutputInfo info;
     // Aggregate outputs only exist in aggregate queries (SpjgBuilder
     // invariant); for SPJ queries every output goes through the plain
-    // compute_expr path, exactly like the generic matcher.
+    // compute_expr path.
     if (query.is_aggregate && o.expr->kind() == ExprKind::kAggregate) {
       info.is_aggregate = true;
       info.agg_kind = o.expr->agg_kind();
@@ -151,6 +103,73 @@ MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
     ctx.group_by.push_back(CacheExpr(g));
     ctx.group_by_shapes.push_back(ComputeShape(*g));
   }
+  return ctx;
+}
+
+void CompleteMatchProbeContext(MatchProbeContext* ctx) {
+  if (ctx->match_ready) return;
+  ctx->match_ready = true;
+  const SpjgQuery& query = *ctx->query;
+  const Catalog& catalog = *ctx->catalog;
+  const int32_t num_slots = query.num_tables();
+
+  ctx->slot_by_table.reserve(static_cast<size_t>(num_slots));
+  for (int32_t t = 0; t < num_slots; ++t) {
+    ctx->slot_by_table.emplace_back(query.tables[t].table, t);
+  }
+  std::sort(ctx->slot_by_table.begin(), ctx->slot_by_table.end());
+  for (size_t i = 1; i < ctx->slot_by_table.size(); ++i) {
+    if (ctx->slot_by_table[i].first == ctx->slot_by_table[i - 1].first) {
+      ctx->has_dup_tables = true;
+      break;
+    }
+  }
+
+  ctx->col_base.resize(static_cast<size_t>(num_slots));
+  int32_t base = 0;
+  for (int32_t t = 0; t < num_slots; ++t) {
+    ctx->col_base[static_cast<size_t>(t)] = base;
+    base += catalog.table(query.tables[t].table).num_columns();
+  }
+  ctx->class_of.resize(static_cast<size_t>(base));
+  for (int32_t t = 0; t < num_slots; ++t) {
+    const int32_t ncols = catalog.table(query.tables[t].table).num_columns();
+    for (int32_t c = 0; c < ncols; ++c) {
+      ctx->class_of[static_cast<size_t>(
+          ctx->col_base[static_cast<size_t>(t)] + c)] =
+          ctx->query_ec.ClassOf(ColumnRefId{t, c});
+    }
+  }
+  ctx->num_classes = ctx->query_ec.NumClasses();
+  ctx->query_ranges =
+      RangeMap::Build(ctx->query_preds.ranges, ctx->query_ec);
+
+  // The §3.2 nullable-FK relaxation set: columns the query's own
+  // predicates null-reject (check constraints accept NULLs, so they do
+  // not count). Query slot space, like every consumer's.
+  if (ctx->allow_nullable_fk_with_null_rejection) {
+    for (const auto& p : ctx->query_preds.ranges) {
+      ctx->null_rejected.push_back(p.column);
+    }
+    for (const auto& p : ctx->query_preds.equalities) {
+      ctx->null_rejected.push_back(p.lhs);
+      ctx->null_rejected.push_back(p.rhs);
+    }
+    for (const auto& r : ctx->query_preds.residual) {
+      std::vector<ColumnRefId> cols;
+      r->CollectColumnRefs(&cols);
+      for (ColumnRefId c : cols) {
+        if (IsNullRejectingOn(*r, c)) ctx->null_rejected.push_back(c);
+      }
+    }
+  }
+}
+
+MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
+                                         const SpjgQuery& query,
+                                         const MatchOptions& options) {
+  MatchProbeContext ctx = AnalyzeQuery(catalog, query, options);
+  CompleteMatchProbeContext(&ctx);
   return ctx;
 }
 
@@ -230,7 +249,8 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
   program->num_classes = view_ec.NumClasses();
   program->class_members.reserve(static_cast<size_t>(program->num_classes));
   for (int32_t cls = 0; cls < program->num_classes; ++cls) {
-    program->class_members.push_back(view_ec.ClassMembers(cls));
+    const auto members = view_ec.ClassMembers(cls);
+    program->class_members.emplace_back(members.begin(), members.end());
   }
 
   // Outputs and the §3.1.3 routing table: first simple output per view

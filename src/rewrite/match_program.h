@@ -6,10 +6,11 @@
 // table/column/class ids plus side pools (precomputed view equivalence
 // classes, output routing tables, per-class ranges, residual shapes,
 // grouping/aggregate descriptors). ExecuteMatchProgram runs the stream
-// with a tight switch loop against a per-probe MatchProbeContext (the
-// query-side structures, built once per probe and shared by every
-// compiled candidate) and a reusable MatchProgramScratch, so the check
-// path performs no allocation.
+// with a tight switch loop against the probe's query analysis,
+// MatchProbeContext (the query-side structures, built once per probe and
+// shared by the filter keys, both match tiers and every routed shard),
+// and a reusable MatchProgramScratch, so the check path performs no
+// allocation.
 //
 // The compiled tier is an OPTIMIZATION, never a semantic fork: for every
 // (query, view) pair it either produces the byte-identical verdict —
@@ -27,8 +28,8 @@
 // enumeration of §3.2 degenerates to the single identity-by-table-id
 // mapping, and the per-candidate structures the generic matcher builds
 // (unified tables, query equivalence classes, check constraints, range
-// maps, residual shapes) depend only on the query — so they are hoisted
-// into MatchProbeContext and built once per probe. The view-side halves
+// maps, residual shapes) depend only on the query — they are the probe's
+// analysis, which the generic matcher reads too. The view-side halves
 // (view equivalence classes including check equalities, output routing,
 // view ranges, residual/grouping/aggregate shapes) depend only on the
 // view and are precompiled into the program. Views with EXTRA tables
@@ -287,29 +288,40 @@ struct MatchProgram {
   std::vector<MatchInsn> insns;
 };
 
-/// Query-side match state, built ONCE per probe and shared read-only by
-/// every compiled candidate of that probe. Exactly the structures the
-/// generic matcher rebuilds per candidate — valid to share because, for
-/// compiled candidates (view tables ⊆ query tables, no duplicates), the
-/// generic matcher's "unified" table list is the query's own FROM list.
+/// The probe's query analysis: the §3.1 normalization of one query —
+/// classified predicates, equivalence classes, ranges, residual shapes —
+/// built ONCE per probe and read by every consumer of that probe: the
+/// filter keys (DescribeQuery), the compiled tier (ExecuteMatchProgram),
+/// the generic matcher (ViewMatcher::Match) and, in a sharded catalog,
+/// every shard the probe is routed to. Sharing it is valid because all of
+/// these derive the query side from the query alone: for compiled
+/// candidates (view tables ⊆ query tables, no duplicates) the generic
+/// matcher's "unified" table list is the query's own FROM list, and for
+/// views with extra tables the generic matcher copies the classes and
+/// extends them with the extra slots (matcher.cc).
+///
+/// Built in two halves. AnalyzeQuery fills the part the filter keys need
+/// too (stage 1 of a probe); CompleteMatchProbeContext adds what only the
+/// match tiers read, and runs only when a candidate survives the filter.
+/// RewriteChecker deliberately keeps its own derivation (it is the
+/// independent oracle).
 struct MatchProbeContext {
+  const Catalog* catalog = nullptr;
   const SpjgQuery* query = nullptr;
   bool is_aggregate = false;
-  /// Any duplicate table id in the query's FROM list? (Always infeasible
-  /// against a compiled — duplicate-free — view: reject, don't fall
-  /// back.)
-  bool has_dup_tables = false;
-  /// Query slots sorted by table id for the kCheckTableSet binary search.
-  std::vector<std::pair<TableId, int32_t>> slot_by_table;
+  /// The MatchOptions the analysis was built under; a consumer's options
+  /// must agree (checked by assertion).
+  bool use_check_constraints = true;
+  bool allow_nullable_fk_with_null_rejection = true;
+
+  // ---- AnalyzeQuery (stage 1) --------------------------------------------
 
   ClassifiedPredicates query_preds;
+  /// The query tables' check constraints (§3.1.2), remapped onto their
+  /// slots; empty when check constraints are off.
   ClassifiedPredicates check_preds;
+  /// Query classes over the query's slots, check equalities included.
   EquivalenceClasses query_ec;
-  /// Dense query-class lookup, flattened slot-major like the program's.
-  std::vector<int32_t> col_base;
-  std::vector<int32_t> class_of;
-  int32_t num_classes = 0;
-  RangeMap query_ranges;          ///< plain query ranges (compensation)
   RangeMap query_ranges_checked;  ///< check-strengthened (subsumption)
   std::vector<ExprShape> query_residual_shapes;
   std::vector<ExprShape> check_residual_shapes;
@@ -338,15 +350,44 @@ struct MatchProbeContext {
   std::vector<CachedExpr> group_by;
   std::vector<ExprShape> group_by_shapes;
 
+  // ---- CompleteMatchProbeContext (match stage) ---------------------------
+
+  bool match_ready = false;
+  /// Any duplicate table id in the query's FROM list? (Always infeasible
+  /// against a compiled — duplicate-free — view: reject, don't fall
+  /// back.)
+  bool has_dup_tables = false;
+  /// Query slots sorted by table id for the kCheckTableSet binary search.
+  std::vector<std::pair<TableId, int32_t>> slot_by_table;
+  /// Dense query-class lookup, flattened slot-major like the program's.
+  std::vector<int32_t> col_base;
+  std::vector<int32_t> class_of;
+  int32_t num_classes = 0;
+  RangeMap query_ranges;  ///< plain query ranges (compensation)
   /// Columns (query slot space) with null-rejecting query predicates —
-  /// the §3.2 nullable-FK relaxation set, built exactly as the generic
-  /// matcher builds it per candidate. Empty when the relaxation is off.
+  /// the §3.2 nullable-FK relaxation set. Empty when the relaxation is
+  /// off.
   std::vector<ColumnRefId> null_rejected;
 
   int32_t QueryClassOf(ColumnRefId col) const {
     return class_of[col_base[col.table_ref] + col.column];
   }
 };
+
+/// The stage-1 half of the probe analysis (see MatchProbeContext).
+/// `catalog` and `query` must outlive the result.
+MatchProbeContext AnalyzeQuery(const Catalog& catalog, const SpjgQuery& query,
+                               const MatchOptions& options);
+
+/// Adds the match-stage half to an analyzed context (idempotent).
+void CompleteMatchProbeContext(MatchProbeContext* ctx);
+
+/// Both halves: the full query-side context for one probe. `options`
+/// must be the same MatchOptions the candidate programs were compiled
+/// with.
+MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
+                                         const SpjgQuery& query,
+                                         const MatchOptions& options);
 
 /// Reusable per-thread scratch for ExecuteMatchProgram: sized on first
 /// use, reset by generation stamps — the reject path allocates nothing
@@ -387,12 +428,6 @@ struct MatchExecResult {
   MatchResult result;
 };
 
-/// Builds the query-side context for one probe. `options` must be the
-/// same MatchOptions the candidate programs were compiled with.
-MatchProbeContext BuildMatchProbeContext(const Catalog& catalog,
-                                         const SpjgQuery& query,
-                                         const MatchOptions& options);
-
 /// Compiles `view` into a match program, or returns nullptr when the
 /// view is outside the compiled envelope (self-join FROM list, backjoin
 /// mode, or a zero mapping budget) — such views match through the
@@ -402,10 +437,10 @@ std::shared_ptr<const MatchProgram> CompileMatchProgram(
     const Catalog& catalog, const ViewDefinition& view,
     const MatchOptions& options);
 
-/// Runs `program` against one probe's context. Returns kFallback when
-/// the candidate needs generic machinery (extra view tables requiring
-/// foreign-key elimination); otherwise the MatchResult is byte-identical
-/// to ViewMatcher::Match on the same pair.
+/// Runs `program` against one probe's complete context. Returns
+/// kFallback when the candidate needs generic machinery (extra view
+/// tables requiring foreign-key elimination); otherwise the MatchResult
+/// is byte-identical to ViewMatcher::Match on the same pair.
 MatchExecResult ExecuteMatchProgram(const MatchProgram& program,
                                     const MatchProbeContext& ctx,
                                     MatchProgramScratch& scratch);

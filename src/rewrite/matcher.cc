@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <optional>
 #include <set>
-#include <unordered_map>
 
 #include "expr/classify.h"
 #include "rewrite/equiv.h"
 #include "rewrite/fk_graph.h"
+#include "rewrite/match_program.h"
 #include "rewrite/range.h"
 
 namespace mvopt {
@@ -119,12 +120,30 @@ bool ShapesEquivalent(const ExprShape& a, const ExprShape& b,
 
 MatchResult ViewMatcher::Match(const SpjgQuery& query,
                                const ViewDefinition& view) const {
+  // The cheap screens run before the query is analyzed, so an
+  // infeasible pair costs no analysis.
+  if (view.query().is_aggregate && !query.is_aggregate) {
+    return Reject(RejectReason::kViewMoreAggregated);
+  }
+  if (!MappingEnumerator(query, view.query(), options_.max_table_mappings)
+           .feasible()) {
+    return Reject(RejectReason::kSourceTables);
+  }
+  return Match(BuildMatchProbeContext(*catalog_, query, options_), view);
+}
+
+MatchResult ViewMatcher::Match(const MatchProbeContext& query,
+                               const ViewDefinition& view) const {
+  assert(query.match_ready);
+  assert(query.use_check_constraints == options_.use_check_constraints);
+  assert(query.allow_nullable_fk_with_null_rejection ==
+         options_.allow_nullable_fk_with_null_rejection);
   // Aggregated views cannot answer pure SPJ queries: grouping collapses
   // duplicate rows (§3.3 requirement 3).
   if (view.query().is_aggregate && !query.is_aggregate) {
     return Reject(RejectReason::kViewMoreAggregated);
   }
-  MappingEnumerator enumerator(query, view.query(),
+  MappingEnumerator enumerator(*query.query, view.query(),
                                options_.max_table_mappings);
   if (!enumerator.feasible()) return Reject(RejectReason::kSourceTables);
 
@@ -138,8 +157,9 @@ MatchResult ViewMatcher::Match(const SpjgQuery& query,
 }
 
 MatchResult ViewMatcher::MatchWithMapping(
-    const SpjgQuery& query, const ViewDefinition& view,
+    const MatchProbeContext& q, const ViewDefinition& view,
     const std::vector<int32_t>& view_to_slot) const {
+  const SpjgQuery& query = *q.query;
   const SpjgQuery& vq = view.query();
   const int num_query_tables = query.num_tables();
 
@@ -164,7 +184,7 @@ MatchResult ViewMatcher::MatchWithMapping(
     view_conjuncts.push_back(c->RemapTableRefs(slot_of));
   }
   ClassifiedPredicates view_preds = ClassifyConjuncts(view_conjuncts);
-  ClassifiedPredicates query_preds = ClassifyConjuncts(query.conjuncts);
+  const ClassifiedPredicates& query_preds = q.query_preds;
 
   // Check constraints (§3.1.2): constraints on the query's tables hold on
   // every row, so they strengthen the antecedent of Wq => Wv. Equalities
@@ -172,18 +192,20 @@ MatchResult ViewMatcher::MatchWithMapping(
   // both sides; ranges and residuals only strengthen the query side, and
   // are never emitted as compensating predicates (they are tautologies
   // over the view's rows). CHECKs accept NULLs, so they are not
-  // null-rejecting.
-  ClassifiedPredicates check_preds;
-  if (options_.use_check_constraints) {
+  // null-rejecting. The analysis holds the query slots' constraints;
+  // the extra slots' are classified here, in unified slot order after
+  // them.
+  ClassifiedPredicates extra_checks;
+  if (options_.use_check_constraints && !extra_slots.empty()) {
     std::vector<ExprPtr> check_conjuncts;
-    for (size_t t = 0; t < unified_tables.size(); ++t) {
+    for (int32_t t : extra_slots) {
       for (const auto& c :
            catalog_->table(unified_tables[t].table).check_constraints()) {
-        std::vector<int32_t> self = {static_cast<int32_t>(t)};
+        std::vector<int32_t> self = {t};
         check_conjuncts.push_back(c->RemapTableRefs(self));
       }
     }
-    check_preds = ClassifyConjuncts(check_conjuncts);
+    extra_checks = ClassifyConjuncts(check_conjuncts);
   }
 
   // ---- 2. View equivalence classes over the unified table space.
@@ -194,33 +216,18 @@ MatchResult ViewMatcher::MatchWithMapping(
                                 .num_columns());
   }
   view_ec.AddEqualities(view_preds.equalities);
-  view_ec.AddEqualities(check_preds.equalities);
+  view_ec.AddEqualities(q.check_preds.equalities);
+  view_ec.AddEqualities(extra_checks.equalities);
 
-  // Null-rejecting columns of the query (for the nullable-FK relaxation).
-  std::vector<ColumnRefId> null_rejected;
-  if (options_.allow_nullable_fk_with_null_rejection) {
-    for (const auto& p : query_preds.ranges) null_rejected.push_back(p.column);
-    for (const auto& p : query_preds.equalities) {
-      null_rejected.push_back(p.lhs);
-      null_rejected.push_back(p.rhs);
-    }
-    for (const auto& r : query_preds.residual) {
-      std::vector<ColumnRefId> cols;
-      r->CollectColumnRefs(&cols);
-      for (ColumnRefId c : cols) {
-        if (IsNullRejectingOn(*r, c)) null_rejected.push_back(c);
-      }
-    }
-  }
-
-  // ---- 3. Eliminate extra tables through cardinality-preserving joins.
+  // ---- 3. Eliminate extra tables through cardinality-preserving joins
+  // (null-rejecting query columns admit nullable FKs, see the analysis).
   std::vector<FkJoinEdge> eliminated_edges;
   if (!extra_slots.empty()) {
     FkGraphOptions fk_options;
     fk_options.allow_nullable_fk_with_null_rejection =
         options_.allow_nullable_fk_with_null_rejection;
     FkJoinGraph graph = FkJoinGraph::Build(*catalog_, unified_tables, view_ec,
-                                           fk_options, &null_rejected);
+                                           fk_options, &q.null_rejected);
     uint64_t keep_mask = 0;
     for (int i = 0; i < num_query_tables; ++i) keep_mask |= 1ULL << i;
     auto edges = graph.EliminateAllExcept(keep_mask);
@@ -230,23 +237,55 @@ MatchResult ViewMatcher::MatchWithMapping(
     eliminated_edges = std::move(*edges);
   }
 
-  // ---- 4. Query equivalence classes, extended with the join conditions
-  // of the eliminated edges (§3.2: "we merely simulate the addition of
-  // extra tables by updating query equivalence classes").
-  EquivalenceClasses query_ec;
-  for (size_t t = 0; t < unified_tables.size(); ++t) {
-    query_ec.AddTableColumns(static_cast<int32_t>(t),
-                             catalog_->table(unified_tables[t].table)
-                                 .num_columns());
-  }
-  query_ec.AddEqualities(query_preds.equalities);
-  query_ec.AddEqualities(check_preds.equalities);
-  for (const FkJoinEdge& e : eliminated_edges) {
-    for (size_t k = 0; k < e.fk->fk_columns.size(); ++k) {
-      query_ec.AddEquality(ColumnRefId{e.from_ref, e.fk->fk_columns[k]},
-                           ColumnRefId{e.to_ref, e.fk->key_columns[k]});
+  // ---- 4. Query equivalence classes, extended with the extra slots and
+  // the join conditions of the eliminated edges (§3.2: "we merely
+  // simulate the addition of extra tables by updating query equivalence
+  // classes"). Without extra tables the analysis's classes and ranges
+  // serve as they are; otherwise a copy is extended — which numbers
+  // classes exactly as a from-scratch build over the unified tables
+  // would (equiv.h), so compensation order does not depend on the path.
+  struct ExtendedQuerySide {
+    EquivalenceClasses ec;
+    RangeMap ranges;
+    RangeMap ranges_checked;
+    std::vector<ExprShape> check_shapes;
+  };
+  std::optional<ExtendedQuerySide> ext;
+  if (!extra_slots.empty()) {
+    ext.emplace();
+    ext->ec = q.query_ec;
+    for (int32_t t : extra_slots) {
+      ext->ec.AddTableColumns(
+          t, catalog_->table(unified_tables[t].table).num_columns());
+    }
+    ext->ec.AddEqualities(extra_checks.equalities);
+    std::vector<ColumnEqualityPred> edge_equalities;
+    for (const FkJoinEdge& e : eliminated_edges) {
+      for (size_t k = 0; k < e.fk->fk_columns.size(); ++k) {
+        edge_equalities.push_back(
+            {ColumnRefId{e.from_ref, e.fk->fk_columns[k]},
+             ColumnRefId{e.to_ref, e.fk->key_columns[k]}});
+      }
+    }
+    ext->ec.AddEqualities(edge_equalities);
+    ext->ranges = RangeMap::Build(query_preds.ranges, ext->ec);
+    std::vector<RangePred> checked = query_preds.ranges;
+    checked.insert(checked.end(), q.check_preds.ranges.begin(),
+                   q.check_preds.ranges.end());
+    checked.insert(checked.end(), extra_checks.ranges.begin(),
+                   extra_checks.ranges.end());
+    ext->ranges_checked = RangeMap::Build(checked, ext->ec);
+    ext->check_shapes = q.check_residual_shapes;
+    for (const auto& r : extra_checks.residual) {
+      ext->check_shapes.push_back(ComputeShape(*r));
     }
   }
+  const EquivalenceClasses& query_ec = ext ? ext->ec : q.query_ec;
+  const RangeMap& query_ranges = ext ? ext->ranges : q.query_ranges;
+  const RangeMap& query_ranges_checked =
+      ext ? ext->ranges_checked : q.query_ranges_checked;
+  const std::vector<ExprShape>& check_residual_shapes =
+      ext ? ext->check_shapes : q.check_residual_shapes;
 
   // ---- Output-column routing infrastructure (§3.1.3, §3.1.4).
   // Simple view outputs by their source column in unified space; complex
@@ -377,17 +416,11 @@ MatchResult ViewMatcher::MatchWithMapping(
   }
 
   // ---- 6. Range subsumption test (§3.1.2).
+  // Check-strengthened query ranges drive subsumption; the plain query
+  // ranges drive compensation (check-implied bounds hold on the view's
+  // rows already and need not — indeed must not — require output
+  // routing).
   RangeMap view_ranges = RangeMap::Build(view_preds.ranges, view_ec);
-  RangeMap query_ranges = RangeMap::Build(query_preds.ranges, query_ec);
-  // Check-strengthened ranges drive subsumption; the plain query ranges
-  // drive compensation (check-implied bounds hold on the view's rows
-  // already and need not — indeed must not — require output routing).
-  std::vector<RangePred> checked_range_preds = query_preds.ranges;
-  checked_range_preds.insert(checked_range_preds.end(),
-                             check_preds.ranges.begin(),
-                             check_preds.ranges.end());
-  RangeMap query_ranges_checked =
-      RangeMap::Build(checked_range_preds, query_ec);
 
   // Every constrained view range must contain the corresponding query
   // range (the query class containing the view class's columns).
@@ -449,15 +482,8 @@ MatchResult ViewMatcher::MatchWithMapping(
 
   // ---- 7. Residual subsumption test (§3.1.2): every view residual must
   // match a query residual (shallow shape matching + column equivalence).
-  std::vector<ExprShape> query_residual_shapes;
-  query_residual_shapes.reserve(query_preds.residual.size());
-  for (const auto& r : query_preds.residual) {
-    query_residual_shapes.push_back(ComputeShape(*r));
-  }
-  std::vector<ExprShape> check_residual_shapes;
-  for (const auto& r : check_preds.residual) {
-    check_residual_shapes.push_back(ComputeShape(*r));
-  }
+  const std::vector<ExprShape>& query_residual_shapes =
+      q.query_residual_shapes;
   std::vector<bool> query_residual_matched(query_preds.residual.size(),
                                            false);
   for (const auto& vr : view_preds.residual) {
@@ -498,20 +524,25 @@ MatchResult ViewMatcher::MatchWithMapping(
   }
 
   // ---- 8. Output expressions (§3.1.4). `compute_expr` rewrites a query
-  // expression (aggregate-free) over the view's output columns: exact
-  // match against a view output first, then per-column routing.
-  auto compute_expr = [&](const ExprPtr& e) -> ExprPtr {
-    if (e->kind() == ExprKind::kLiteral) return e;
-    if (e->kind() == ExprKind::kColumnRef) {
-      return route_extended(e->column_ref(), query_ec);
+  // expression (aggregate-free; classified by the analysis) over the
+  // view's output columns: exact match against a view output first, then
+  // per-column routing.
+  using CachedExpr = MatchProbeContext::CachedExpr;
+  auto compute_expr = [&](const CachedExpr& e) -> ExprPtr {
+    switch (e.kind) {
+      case CachedExpr::Kind::kLiteral:
+        return e.expr;
+      case CachedExpr::Kind::kColumn:
+        return route_extended(e.column, query_ec);
+      case CachedExpr::Kind::kComplex:
+        break;
     }
-    ExprShape shape = ComputeShape(*e);
     for (const auto& co : complex_outputs) {
-      if (ShapesEquivalent(shape, co.shape, query_ec)) {
+      if (ShapesEquivalent(e.shape, co.shape, query_ec)) {
         return Expr::MakeColumn(0, co.ordinal);
       }
     }
-    return e->RewriteColumns([&](ColumnRefId col) -> ExprPtr {
+    return e.expr->RewriteColumns([&](ColumnRefId col) -> ExprPtr {
       return route_extended(col, query_ec);
     });
   };
@@ -522,10 +553,11 @@ MatchResult ViewMatcher::MatchWithMapping(
 
   if (!query.is_aggregate) {
     // SPJ query from SPJ view (aggregated views were rejected up front).
-    for (const auto& o : query.outputs) {
-      ExprPtr routed = compute_expr(o.expr);
+    for (size_t k = 0; k < query.outputs.size(); ++k) {
+      ExprPtr routed = compute_expr(q.outputs[k].value);
       if (routed == nullptr) return Reject(RejectReason::kOutputNotComputable);
-      sub.outputs.push_back(OutputExpr{o.name, std::move(routed)});
+      sub.outputs.push_back(OutputExpr{query.outputs[k].name,
+                                       std::move(routed)});
     }
     sub.needs_aggregation = false;
     sub.backjoins = std::move(backjoins);
@@ -590,8 +622,8 @@ MatchResult ViewMatcher::MatchWithMapping(
     // so "routable" is exactly "functionally determined".
     bool fd_extra_grouping = false;
     std::vector<bool> view_grouping_used(view_groupings.size(), false);
-    for (const auto& g : query.group_by) {
-      ExprShape shape = ComputeShape(*g);
+    for (size_t gi = 0; gi < query.group_by.size(); ++gi) {
+      const ExprShape& shape = q.group_by_shapes[gi];
       // Prefer an unused view grouping: equated grouping columns (e.g.
       // l_orderkey and o_orderkey under the join) all match the same
       // query expression, and greedily re-consuming the first would
@@ -608,8 +640,8 @@ MatchResult ViewMatcher::MatchWithMapping(
       if (!found) {
         bool determined = false;
         if (options_.enable_backjoins) {
-          ExprPtr routed =
-              g->RewriteColumns([&](ColumnRefId col) -> ExprPtr {
+          ExprPtr routed = query.group_by[gi]->RewriteColumns(
+              [&](ColumnRefId col) -> ExprPtr {
                 return route_extended(col, query_ec);
               });
           determined = routed != nullptr;
@@ -633,7 +665,7 @@ MatchResult ViewMatcher::MatchWithMapping(
   // grouping is required.
   const bool needs_aggregation = !view_aggregated || regroup;
   if (needs_aggregation) {
-    for (const auto& g : query.group_by) {
+    for (const CachedExpr& g : q.group_by) {
       ExprPtr routed = compute_expr(g);
       if (routed == nullptr) return Reject(RejectReason::kOutputNotComputable);
       sub.group_by.push_back(std::move(routed));
@@ -642,15 +674,16 @@ MatchResult ViewMatcher::MatchWithMapping(
   sub.needs_aggregation = needs_aggregation;
 
   // Query outputs: grouping expressions and aggregates.
-  for (const auto& o : query.outputs) {
-    const Expr& e = *o.expr;
-    if (e.kind() != ExprKind::kAggregate) {
-      ExprPtr routed = compute_expr(o.expr);
+  for (size_t k = 0; k < query.outputs.size(); ++k) {
+    const OutputExpr& o = query.outputs[k];
+    const MatchProbeContext::OutputInfo& info = q.outputs[k];
+    if (!info.is_aggregate) {
+      ExprPtr routed = compute_expr(info.value);
       if (routed == nullptr) return Reject(RejectReason::kOutputNotComputable);
       sub.outputs.push_back(OutputExpr{o.name, std::move(routed)});
       continue;
     }
-    const AggKind kind = e.agg_kind();
+    const AggKind kind = info.agg_kind;
     if (!options_.allow_min_max &&
         (kind == AggKind::kMin || kind == AggKind::kMax)) {
       return Reject(RejectReason::kAggregateNotComputable);
@@ -659,7 +692,7 @@ MatchResult ViewMatcher::MatchWithMapping(
       // Compensating aggregation over an SPJ view: rewrite the argument.
       ExprPtr arg;
       if (kind != AggKind::kCountStar) {
-        arg = compute_expr(e.child(0));
+        arg = compute_expr(info.value);
         if (arg == nullptr) {
           return Reject(RejectReason::kAggregateNotComputable);
         }
@@ -669,10 +702,10 @@ MatchResult ViewMatcher::MatchWithMapping(
       continue;
     }
     // Aggregation view.
-    auto find_view_agg = [&](AggKind k, const Expr& arg) -> int {
-      ExprShape shape = ComputeShape(arg);
+    auto find_view_agg = [&](AggKind k) -> int {
       for (const auto& va : view_aggs) {
-        if (va.kind == k && ShapesEquivalent(shape, va.arg_shape, query_ec)) {
+        if (va.kind == k &&
+            ShapesEquivalent(info.agg_arg_shape, va.arg_shape, query_ec)) {
           return va.ordinal;
         }
       }
@@ -691,7 +724,7 @@ MatchResult ViewMatcher::MatchWithMapping(
       case AggKind::kSum:
       case AggKind::kMin:
       case AggKind::kMax: {
-        int ordinal = find_view_agg(kind, *e.child(0));
+        int ordinal = find_view_agg(kind);
         if (ordinal < 0) {
           return Reject(RejectReason::kAggregateNotComputable);
         }
@@ -708,7 +741,7 @@ MatchResult ViewMatcher::MatchWithMapping(
       }
       case AggKind::kAvg: {
         // AVG(E) = SUM(E) / count (§3.3).
-        int sum_ordinal = find_view_agg(AggKind::kSum, *e.child(0));
+        int sum_ordinal = find_view_agg(AggKind::kSum);
         if (sum_ordinal < 0 || count_ordinal < 0) {
           return Reject(RejectReason::kAggregateNotComputable);
         }

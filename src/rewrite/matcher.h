@@ -115,6 +115,8 @@ struct MatchResult {
   bool ok() const { return substitute.has_value(); }
 };
 
+struct MatchProbeContext;  // rewrite/match_program.h
+
 class ViewMatcher {
  public:
   explicit ViewMatcher(const Catalog* catalog, MatchOptions options = {})
@@ -122,11 +124,18 @@ class ViewMatcher {
 
   /// Tests whether `query` can be computed from `view` alone and builds
   /// the substitute. Both expressions must be in SPJG normal form with
-  /// CNF conjunct lists (SpjgBuilder guarantees this).
+  /// CNF conjunct lists (SpjgBuilder guarantees this). Analyzes the query
+  /// for this one call; a probe testing several views analyzes once and
+  /// uses the overload below.
   MatchResult Match(const SpjgQuery& query, const ViewDefinition& view) const;
 
+  /// Same, reading the query side from a complete probe analysis built
+  /// under this matcher's options (BuildMatchProbeContext).
+  MatchResult Match(const MatchProbeContext& query,
+                    const ViewDefinition& view) const;
+
  private:
-  MatchResult MatchWithMapping(const SpjgQuery& query,
+  MatchResult MatchWithMapping(const MatchProbeContext& query,
                                const ViewDefinition& view,
                                const std::vector<int32_t>& view_to_slot) const;
 

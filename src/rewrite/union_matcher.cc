@@ -70,7 +70,17 @@ std::optional<UnionSubstitute> UnionMatcher::Match(
       columns.push_back(c);
     }
   };
+  // The query side, analyzed once for every partition column: its
+  // classes and ranges from its own predicates (check constraints do not
+  // enter the target range).
   ClassifiedPredicates query_preds = ClassifyConjuncts(query.conjuncts);
+  EquivalenceClasses ec;
+  for (int t = 0; t < query.num_tables(); ++t) {
+    ec.AddTableColumns(t,
+                       catalog_->table(query.tables[t].table).num_columns());
+  }
+  ec.AddEqualities(query_preds.equalities);
+  const RangeMap ranges = RangeMap::Build(query_preds.ranges, ec);
   for (const auto& p : query_preds.ranges) add_column(p.column);
   for (ViewId v : candidates) {
     const ViewDescription& d = views_->description(v);
@@ -93,26 +103,17 @@ std::optional<UnionSubstitute> UnionMatcher::Match(
       ctx->TickDeadline();
       if (ctx->exhausted()) return std::nullopt;
     }
-    auto result = TryPartitionColumn(query, column, candidates, ctx);
+    auto result = TryPartitionColumn(query, column,
+                                     ranges.Get(ec.ClassOf(column)),
+                                     candidates, ctx);
     if (result.has_value()) return result;
   }
   return std::nullopt;
 }
 
 std::optional<UnionSubstitute> UnionMatcher::TryPartitionColumn(
-    const SpjgQuery& query, ColumnRefId column,
+    const SpjgQuery& query, ColumnRefId column, const ValueRange& target,
     const std::vector<ViewId>& candidates, QueryContext* ctx) const {
-  // The query's target range on the partition column's class.
-  ClassifiedPredicates preds = ClassifyConjuncts(query.conjuncts);
-  EquivalenceClasses ec;
-  for (int t = 0; t < query.num_tables(); ++t) {
-    ec.AddTableColumns(t,
-                       catalog_->table(query.tables[t].table).num_columns());
-  }
-  ec.AddEqualities(preds.equalities);
-  RangeMap ranges = RangeMap::Build(preds.ranges, ec);
-  ValueRange target = ranges.Get(ec.ClassOf(column));
-
   const TableId part_table = query.tables[column.table_ref].table;
   const ValueType part_type =
       catalog_->table(part_table).column(column.column).type;

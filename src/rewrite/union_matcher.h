@@ -24,6 +24,7 @@
 
 #include "common/query_context.h"
 #include "rewrite/matcher.h"
+#include "rewrite/range.h"
 #include "rewrite/view_catalog.h"
 
 namespace mvopt {
@@ -60,8 +61,10 @@ class UnionMatcher {
                                        QueryContext* ctx = nullptr) const;
 
  private:
+  /// One sweep over `column`, whose class the query restricts to
+  /// `target`.
   std::optional<UnionSubstitute> TryPartitionColumn(
-      const SpjgQuery& query, ColumnRefId column,
+      const SpjgQuery& query, ColumnRefId column, const ValueRange& target,
       const std::vector<ViewId>& candidates, QueryContext* ctx) const;
 
   const Catalog* catalog_;

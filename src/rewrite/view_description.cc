@@ -1,11 +1,12 @@
 #include "rewrite/view_description.h"
 
 #include <algorithm>
-#include <set>
+#include <cassert>
 
 #include "expr/classify.h"
 #include "rewrite/equiv.h"
 #include "rewrite/fk_graph.h"
+#include "rewrite/match_program.h"
 #include "rewrite/range.h"
 
 namespace mvopt {
@@ -31,30 +32,17 @@ std::vector<uint32_t> ClassCatalogIds(const SpjgQuery& q,
   return out;
 }
 
-// Shared analysis: classified predicates + equivalence classes + ranges.
-struct Analysis {
+// A view's own analysis: classified predicates + equivalence classes +
+// ranges, from the view's own conjuncts only.
+struct ViewAnalysis {
   ClassifiedPredicates preds;
   EquivalenceClasses ec;
   RangeMap ranges;
 };
 
-Analysis Analyze(const Catalog& catalog, const SpjgQuery& q,
-                 bool include_checks) {
-  Analysis a;
-  std::vector<ExprPtr> conjuncts = q.conjuncts;
-  if (include_checks) {
-    // Query-side search keys include check constraints, mirroring their
-    // role in the matcher's antecedent (§3.1.2) so the filter conditions
-    // stay necessary conditions.
-    for (int t = 0; t < q.num_tables(); ++t) {
-      for (const auto& c : catalog.table(q.tables[t].table)
-                               .check_constraints()) {
-        std::vector<int32_t> self = {t};
-        conjuncts.push_back(c->RemapTableRefs(self));
-      }
-    }
-  }
-  a.preds = ClassifyConjuncts(conjuncts);
+ViewAnalysis AnalyzeView(const Catalog& catalog, const SpjgQuery& q) {
+  ViewAnalysis a;
+  a.preds = ClassifyConjuncts(q.conjuncts);
   for (int t = 0; t < q.num_tables(); ++t) {
     a.ec.AddTableColumns(t, catalog.table(q.tables[t].table).num_columns());
   }
@@ -68,7 +56,7 @@ Analysis Analyze(const Catalog& catalog, const SpjgQuery& q,
 ViewDescription DescribeView(const Catalog& catalog,
                              const ViewDefinition& view) {
   const SpjgQuery& q = view.query();
-  Analysis a = Analyze(catalog, q, /*include_checks=*/false);
+  ViewAnalysis a = AnalyzeView(catalog, q);
 
   ViewDescription d;
   d.id = view.id();
@@ -151,8 +139,15 @@ ViewDescription DescribeView(const Catalog& catalog,
 
 QueryDescription DescribeQuery(const Catalog& catalog,
                                const SpjgQuery& query) {
-  Analysis a = Analyze(catalog, query, /*include_checks=*/true);
+  return DescribeQuery(AnalyzeQuery(catalog, query, MatchOptions{}));
+}
 
+QueryDescription DescribeQuery(const MatchProbeContext& a) {
+  // Query-side search keys include check constraints, mirroring their
+  // role in the matcher's antecedent (§3.1.2) so the filter conditions
+  // stay necessary conditions.
+  assert(a.use_check_constraints);
+  const SpjgQuery& query = *a.query;
   QueryDescription d;
   d.is_aggregate = query.is_aggregate;
   for (const auto& tr : query.tables) d.source_tables.push_back(tr.table);
@@ -160,62 +155,73 @@ QueryDescription DescribeQuery(const Catalog& catalog,
 
   auto add_class = [&](ColumnRefId col,
                        std::vector<std::vector<uint32_t>>* into) {
-    into->push_back(ClassCatalogIds(query, a.ec, col));
+    into->push_back(ClassCatalogIds(query, a.query_ec, col));
   };
 
-  for (const auto& o : query.outputs) {
-    const Expr& e = *o.expr;
-    if (e.kind() == ExprKind::kColumnRef) {
-      add_class(e.column_ref(), &d.output_column_classes_spj);
-      add_class(e.column_ref(), &d.output_column_classes_agg);
-      continue;
-    }
-    if (e.kind() == ExprKind::kAggregate) {
-      // Normalized aggregate text requirement for aggregation views.
-      switch (e.agg_kind()) {
-        case AggKind::kCountStar:
-          break;  // every aggregation view has count(*)
-        case AggKind::kSum:
-        case AggKind::kAvg:
-          d.agg_expr_texts.push_back("sum(" +
-                                     ComputeShape(*e.child(0)).text + ")");
+  using CachedExpr = MatchProbeContext::CachedExpr;
+  for (size_t k = 0; k < a.outputs.size(); ++k) {
+    const MatchProbeContext::OutputInfo& o = a.outputs[k];
+    if (!o.is_aggregate) {
+      switch (o.value.kind) {
+        case CachedExpr::Kind::kColumn:
+          add_class(o.value.column, &d.output_column_classes_spj);
+          add_class(o.value.column, &d.output_column_classes_agg);
           break;
-        case AggKind::kMin:
-        case AggKind::kMax:
-          d.agg_expr_texts.push_back(ComputeShape(e).text);
+        case CachedExpr::Kind::kComplex:
+          // Complex non-aggregate output: paper-faithful textual
+          // condition.
+          d.output_expr_texts.push_back(o.value.shape.text);
           break;
-      }
-      // SPJ views compute the aggregate by compensation; a simple column
-      // argument must then be routable.
-      if (e.agg_kind() != AggKind::kCountStar &&
-          e.child(0)->kind() == ExprKind::kColumnRef) {
-        add_class(e.child(0)->column_ref(), &d.output_column_classes_spj);
+        case CachedExpr::Kind::kLiteral:
+          d.output_expr_texts.push_back(ComputeShape(*o.value.expr).text);
+          break;
       }
       continue;
     }
-    // Complex non-aggregate output: paper-faithful textual condition.
-    d.output_expr_texts.push_back(ComputeShape(e).text);
+    // Normalized aggregate text requirement for aggregation views.
+    switch (o.agg_kind) {
+      case AggKind::kCountStar:
+        break;  // every aggregation view has count(*)
+      case AggKind::kSum:
+      case AggKind::kAvg:
+        d.agg_expr_texts.push_back("sum(" + o.agg_arg_shape.text + ")");
+        break;
+      case AggKind::kMin:
+      case AggKind::kMax:
+        d.agg_expr_texts.push_back(ComputeShape(*query.outputs[k].expr).text);
+        break;
+    }
+    // SPJ views compute the aggregate by compensation; a simple column
+    // argument must then be routable.
+    if (o.agg_kind != AggKind::kCountStar &&
+        o.value.kind == CachedExpr::Kind::kColumn) {
+      add_class(o.value.column, &d.output_column_classes_spj);
+    }
   }
-  for (const auto& g : query.group_by) {
-    d.grouping_expr_texts.push_back(ComputeShape(*g).text);
-    if (g->kind() == ExprKind::kColumnRef) {
-      add_class(g->column_ref(), &d.output_column_classes_spj);
-      add_class(g->column_ref(), &d.output_column_classes_agg);
-      add_class(g->column_ref(), &d.grouping_column_classes);
+  for (size_t i = 0; i < a.group_by.size(); ++i) {
+    d.grouping_expr_texts.push_back(a.group_by_shapes[i].text);
+    if (a.group_by[i].kind == CachedExpr::Kind::kColumn) {
+      const ColumnRefId col = a.group_by[i].column;
+      add_class(col, &d.output_column_classes_spj);
+      add_class(col, &d.output_column_classes_agg);
+      add_class(col, &d.grouping_column_classes);
     }
   }
   SortUnique(&d.output_expr_texts);
   SortUnique(&d.agg_expr_texts);
   SortUnique(&d.grouping_expr_texts);
 
-  for (const auto& r : a.preds.residual) {
-    d.residual_texts.push_back(ComputeShape(*r).text);
+  for (const ExprShape& r : a.query_residual_shapes) {
+    d.residual_texts.push_back(r.text);
+  }
+  for (const ExprShape& r : a.check_residual_shapes) {
+    d.residual_texts.push_back(r.text);
   }
   SortUnique(&d.residual_texts);
 
-  for (const auto& [cls, range] : a.ranges.ranges()) {
+  for (const auto& [cls, range] : a.query_ranges_checked.ranges()) {
     (void)range;
-    for (ColumnRefId m : a.ec.ClassMembers(cls)) {
+    for (ColumnRefId m : a.query_ec.ClassMembers(cls)) {
       d.extended_range_columns.push_back(
           CatalogColId(query.tables[m.table_ref].table, m.column));
     }

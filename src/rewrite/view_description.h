@@ -7,6 +7,12 @@
 // Column identities are flattened to catalog granularity (table id +
 // column ordinal) for indexing; per-reference precision is restored by the
 // full matching tests, so the filter conditions stay necessary conditions.
+//
+// A query's keys are read off the probe's query analysis
+// (MatchProbeContext, rewrite/match_program.h) — the same classified
+// predicates, equivalence classes and shapes the match tiers use — so a
+// probe normalizes its query once, not once for the filter and again for
+// matching.
 
 #ifndef MVOPT_REWRITE_VIEW_DESCRIPTION_H_
 #define MVOPT_REWRITE_VIEW_DESCRIPTION_H_
@@ -56,6 +62,8 @@ struct ViewDescription {
   std::vector<std::string> grouping_expr_texts;
 };
 
+struct MatchProbeContext;  // rewrite/match_program.h
+
 /// Per-query search keys, computed once per view-matching invocation.
 struct QueryDescription {
   bool is_aggregate = false;
@@ -89,7 +97,11 @@ struct QueryDescription {
 ViewDescription DescribeView(const Catalog& catalog,
                              const ViewDefinition& view);
 
-/// Computes a query's search keys.
+/// Computes a query's search keys from its probe analysis, which must
+/// have been built with check constraints on (AnalyzeQuery's default).
+QueryDescription DescribeQuery(const MatchProbeContext& analysis);
+
+/// Same, analyzing `query` for this one call.
 QueryDescription DescribeQuery(const Catalog& catalog,
                                const SpjgQuery& query);
 

@@ -270,6 +270,10 @@ std::vector<Substitute> ShardedCatalogService::FindSubstitutes(
   std::vector<Substitute> fresh;
   std::vector<Substitute> stale;
   bool partial = false;
+  // One query analysis per probe: every shard runs the same options over
+  // the same catalog, so the first shard that probes builds it (inside
+  // its own probe stage) and the rest reuse it.
+  MatchingService::ProbeAnalysis analysis;
   for (int idx : routed) {
     Shard& shard = *shards_[static_cast<size_t>(idx)];
     if (shard.health.load(std::memory_order_acquire) !=
@@ -283,7 +287,8 @@ std::vector<Substitute> ShardedCatalogService::FindSubstitutes(
     MatchingService* service = shard.live.load(std::memory_order_acquire);
     // The caller's context is reused serially, so the budget accrues
     // across shards exactly as it does across candidates in one shard.
-    std::vector<Substitute> subs = service->FindSubstitutes(query, ctx);
+    std::vector<Substitute> subs =
+        service->FindSubstitutesShared(query, ctx, &analysis);
     for (Substitute& sub : subs) {
       sub.view_id = GlobalId(idx, sub.view_id);
       // Keep fresh substitutes ahead of tolerated-stale ones *globally*

@@ -27,7 +27,9 @@
 // budget accumulates across shards exactly as it would across candidates
 // within one service), and concatenates fresh (staleness_lag == 0)
 // substitutes before tolerated-stale ones globally — the same order
-// contract a single MatchingService keeps.
+// contract a single MatchingService keeps. The routed shards share one
+// query analysis per probe (rewrite/match_program.h): the first shard to
+// probe builds it, the rest read it.
 //
 // Lock protocol (DESIGN.md §15): probes are lock-free at this layer
 // too. Each shard publishes its current MatchingService through an
