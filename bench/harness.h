@@ -120,7 +120,8 @@ inline SweepPoint RunSweepPoint(const Workload& workload,
   Optimizer optimizer(&workload.catalog(), service, options);
   auto start = std::chrono::steady_clock::now();
   for (const SpjgQuery& q : workload.queries()) {
-    OptimizationResult r = optimizer.Optimize(q);
+    QueryContext ctx;
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     point.view_matching_seconds += r.metrics.view_matching_seconds;
     point.invocations += r.metrics.view_matching_invocations;
     point.substitutes += r.metrics.substitutes_produced;

@@ -184,7 +184,8 @@ int main() {
 
     auto run_once = [&] {
       for (const SpjgQuery& q : workload.queries()) {
-        (void)service->FindSubstitutes(q);
+        QueryContext ctx;
+        (void)service->FindSubstitutes(q, ctx);
       }
     };
     run_once();  // warm-up

@@ -133,7 +133,8 @@ void BM_ServiceProbe(benchmark::State& state) {
   for (int i = 0; i < 32; ++i) queries.push_back(query_gen.GenerateQuery());
   size_t qi = 0;
   for (auto _ : state) {
-    auto subs = service.FindSubstitutes(queries[qi++ % queries.size()]);
+    QueryContext ctx;
+    auto subs = service.FindSubstitutes(queries[qi++ % queries.size()], ctx);
     benchmark::DoNotOptimize(subs);
   }
   state.SetItemsProcessed(state.iterations());

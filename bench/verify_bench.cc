@@ -33,6 +33,8 @@ int main() {
   report.Meta("views", num_views);
   report.Meta("queries", num_queries);
   report.Meta("self_match_replays_per_mode", num_views);
+  constexpr int kReps = 15;
+  report.Meta("timed_passes_per_mode", kReps);
 
   double baseline = -1;
   int exit_code = 0;
@@ -43,20 +45,24 @@ int main() {
 
     auto run_once = [&] {
       for (ViewId id = 0; id < service->views().num_views(); ++id) {
-        (void)service->FindSubstitutes(service->views().view(id).query());
+        QueryContext ctx;
+        (void)service->FindSubstitutes(service->views().view(id).query(), ctx);
       }
       for (const SpjgQuery& query : workload.queries()) {
-        (void)service->FindSubstitutes(query);
+        QueryContext ctx;
+        (void)service->FindSubstitutes(query, ctx);
       }
     };
 
-    // Warm up caches, then take the best of three timed passes so mode
-    // ordering and allocator state don't masquerade as checker cost.
+    // Warm up caches, then take the best of kReps timed passes so mode
+    // ordering and allocator state don't masquerade as checker cost. A
+    // pass takes ~10 ms, so a best of three still moved vs_off by ±50%
+    // between runs on a 4-thread host.
     run_once();
     service->ResetStats();
     service->ResetVerifyStats();
     double seconds = -1;
-    for (int rep = 0; rep < 3; ++rep) {
+    for (int rep = 0; rep < kReps; ++rep) {
       if (rep > 0) {
         service->ResetStats();
         service->ResetVerifyStats();

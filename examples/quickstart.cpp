@@ -105,14 +105,15 @@ int main() {
   std::printf("query:\n%s\n\n", query.ToSql(catalog).c_str());
 
   // 4. Optimize with and without the view. The QueryContext carries the
-  // per-query knobs (deadline budget, staleness tolerance, trace, match
-  // pool); default-constructed it behaves exactly like the plain call.
+  // per-query knobs (deadline budget, staleness tolerance, trace); a
+  // default-constructed one means no deadline and fresh views only.
   Optimizer with_views(&catalog, &service);
   Optimizer without_views(&catalog, nullptr);
   QueryContext ctx;
   ctx.EmplaceBudget().set_deadline_after(std::chrono::seconds(5));
   OptimizationResult rewritten = with_views.Optimize(query, ctx);
-  OptimizationResult baseline = without_views.Optimize(query);
+  QueryContext baseline_ctx;
+  OptimizationResult baseline = without_views.Optimize(query, baseline_ctx);
   std::printf("plan with view matching (cost %.0f):\n%s\n",
               rewritten.cost, rewritten.plan->ToString(catalog).c_str());
   std::printf("plan without views (cost %.0f):\n%s\n", baseline.cost,

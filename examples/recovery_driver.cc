@@ -206,7 +206,8 @@ int RunVerify(const std::string& dir) {
   // checker.
   tpch::WorkloadGenerator query_gen(&catalog, kWorkloadSeed + 77777);
   for (int i = 0; i < 50; ++i) {
-    (void)service.FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    (void)service.FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
   VerifyStats vs = service.verify_stats();
   if (vs.rejected > 0) {

@@ -99,7 +99,8 @@ int main(int argc, char** argv) {
       std::printf("!! parse error: %s\n", error.c_str());
       continue;
     }
-    OptimizationResult r = optimizer.Optimize(*q);
+    QueryContext ctx;
+    OptimizationResult r = optimizer.Optimize(*q, ctx);
     if (r.plan == nullptr) {
       std::printf("!! no plan\n");
       continue;

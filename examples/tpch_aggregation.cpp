@@ -84,7 +84,8 @@ int main() {
   std::printf("query:\n%s\n\n", query.ToSql(catalog).c_str());
 
   Optimizer optimizer(&catalog, &service);
-  OptimizationResult result = optimizer.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(query, ctx);
   std::printf("best plan (cost %.0f, uses view: %s):\n%s\n", result.cost,
               result.uses_view ? "yes" : "no",
               result.plan->ToString(catalog).c_str());
@@ -96,7 +97,8 @@ int main() {
   OptimizerOptions no_views_opts;
   no_views_opts.enable_view_matching = false;
   Optimizer baseline(&catalog, &service, no_views_opts);
-  OptimizationResult base = baseline.Optimize(query);
+  QueryContext base_ctx;
+  OptimizationResult base = baseline.Optimize(query, base_ctx);
   std::printf("baseline plan (cost %.0f):\n%s\n", base.cost,
               base.plan->ToString(catalog).c_str());
 

@@ -57,11 +57,13 @@ void PrintVerifyStats(const VerifyStats& vs) {
 // diversity.
 void RunWorkload(MatchingService* service, uint64_t seed, int num_queries) {
   for (ViewId id = 0; id < service->views().num_views(); ++id) {
-    (void)service->FindSubstitutes(service->views().view(id).query());
+    QueryContext ctx;
+    (void)service->FindSubstitutes(service->views().view(id).query(), ctx);
   }
   tpch::WorkloadGenerator query_gen(&service->catalog(), seed);
   for (int i = 0; i < num_queries; ++i) {
-    (void)service->FindSubstitutes(query_gen.GenerateQuery());
+    QueryContext ctx;
+    (void)service->FindSubstitutes(query_gen.GenerateQuery(), ctx);
   }
 }
 
@@ -109,7 +111,8 @@ int main() {
   for (ViewId id = 0; id < service.views().num_views() && !showed_rejection;
        ++id) {
     SpjgQuery query = service.views().view(id).query();
-    std::vector<Substitute> subs = service.FindSubstitutes(query);
+    QueryContext ctx;
+    std::vector<Substitute> subs = service.FindSubstitutes(query, ctx);
     if (subs.empty()) continue;
     Substitute bad = subs[0];
     bad.predicates.clear();  // drop every compensating predicate
@@ -150,7 +153,9 @@ int main() {
   int audited = 0;
   int clean = 0;
   for (int i = 0; i < 20; ++i) {
-    OptimizationResult result = optimizer.Optimize(opt_gen.GenerateQuery());
+    QueryContext ctx;
+    OptimizationResult result =
+        optimizer.Optimize(opt_gen.GenerateQuery(), ctx);
     ++audited;
     if (result.memo_audit.ok()) {
       ++clean;

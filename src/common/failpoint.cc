@@ -34,25 +34,31 @@ void FailpointRegistry::DisableAll() {
 
 bool FailpointRegistry::ShouldFail(const char* name) {
   if (num_enabled_.load(std::memory_order_relaxed) == 0) return false;
-  MutexLock lock(mu_);
-  auto it = points_.find(name);
-  if (it == points_.end()) return false;
-  Point& p = it->second;
-  const int64_t hit = p.hits++;
-  if (hit < p.config.skip) return false;
-  if (p.config.count >= 0 && p.fired >= p.config.count) return false;
-  if (p.config.probability < 1.0) {
-    // xorshift64* — deterministic for a given seed.
-    p.rng ^= p.rng >> 12;
-    p.rng ^= p.rng << 25;
-    p.rng ^= p.rng >> 27;
-    const uint64_t r = p.rng * 0x2545f4914f6cdd1dull;
-    const double u =
-        static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
-    if (u >= p.config.probability) return false;
+  std::function<void()> pause;
+  {
+    MutexLock lock(mu_);
+    auto it = points_.find(name);
+    if (it == points_.end()) return false;
+    Point& p = it->second;
+    const int64_t hit = p.hits++;
+    if (hit < p.config.skip) return false;
+    if (p.config.count >= 0 && p.fired >= p.config.count) return false;
+    if (p.config.probability < 1.0) {
+      // xorshift64* — deterministic for a given seed.
+      p.rng ^= p.rng >> 12;
+      p.rng ^= p.rng << 25;
+      p.rng ^= p.rng >> 27;
+      const uint64_t r = p.rng * 0x2545f4914f6cdd1dull;
+      const double u =
+          static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
+      if (u >= p.config.probability) return false;
+    }
+    ++p.fired;
+    if (!p.config.pause) return true;
+    pause = p.config.pause;
   }
-  ++p.fired;
-  return true;
+  pause();
+  return false;
 }
 
 int64_t FailpointRegistry::HitCount(const std::string& name) const {

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -56,6 +57,11 @@ struct FailpointConfig {
   /// Seed of the per-site random stream (probabilistic triggers replay
   /// exactly for a given seed).
   uint64_t seed = 0x9e3779b97f4a7c15ull;
+  /// When set, a firing calls this (outside the registry lock) instead
+  /// of failing, and the site then proceeds normally. A blocking
+  /// callback holds the hitting thread at the site, which is how tests
+  /// pin a race window open.
+  std::function<void()> pause;
 };
 
 class FailpointRegistry {
@@ -68,7 +74,8 @@ class FailpointRegistry {
   void DisableAll() MVOPT_EXCLUDES(mu_);
 
   /// Site-side check: records a hit on an enabled site and decides
-  /// whether it fires. Disabled/unknown names never fire.
+  /// whether it fires. Disabled/unknown names never fire; a firing with
+  /// a `pause` callback runs it and reports no failure.
   bool ShouldFail(const char* name) MVOPT_EXCLUDES(mu_);
 
   /// Hits / firings observed since Enable (0 for disabled names).

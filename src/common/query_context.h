@@ -1,9 +1,9 @@
-// QueryContext: the single per-query object threaded through every layer
-// of the matching/optimization pipeline (FilterTree probes →
-// MatchingService stages → RewriteChecker → Optimizer). Four PRs of
-// growth each added a loose cross-cutting parameter (QueryBudget*,
-// QueryTrace*, staleness tolerance, failpoint/observe knobs); the
-// context replaces the bundle with one handle that owns or borrows:
+// QueryContext: the single per-query object that the probe and optimize
+// entry points take (Optimizer::Optimize, SubstituteSource::
+// FindSubstitutes / FindUnionSubstitute). It is the only way to pass a
+// cross-cutting per-query concern: the pipeline stages below it
+// receive it from those entry points, and the filter-tree walk reads
+// only its budget. It owns or borrows:
 //
 //   - the resource budget (deadline, candidate/memo caps, degradation
 //     state — see common/query_budget.h),
@@ -17,8 +17,7 @@
 //
 // A context is per-query state and is NOT thread-safe; give each
 // concurrent optimization its own instance. A default-constructed
-// context is byte-for-byte equivalent to the legacy no-budget/no-trace
-// call paths: no deadline, fresh-views-only.
+// context means no budget, no trace and fresh views only.
 
 #ifndef MVOPT_COMMON_QUERY_CONTEXT_H_
 #define MVOPT_COMMON_QUERY_CONTEXT_H_
@@ -53,8 +52,9 @@ class QueryContext {
     budget_ = owned_budget_.get();
     return *budget_;
   }
-  /// Borrows an external budget (may be null = ungoverned). The legacy
-  /// pointer-parameter overloads funnel through this.
+  /// Borrows a caller-owned budget (may be null = ungoverned), e.g. one
+  /// budget reused across the contexts of several queries; Optimize
+  /// resets its per-query outcome state and keeps its limits.
   void BorrowBudget(QueryBudget* budget) {
     owned_budget_.reset();
     budget_ = budget;

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "common/query_budget.h"
-#include "common/query_context.h"
 #include "index/lattice.h"
 #include "query/view_def.h"
 #include "rewrite/view_description.h"
@@ -140,15 +139,6 @@ class FilterTree {
   std::vector<ViewId> FindCandidates(const QueryDescription& query,
                                      FilterSearchStats* stats = nullptr,
                                      QueryBudget* budget = nullptr) const;
-
-  /// Context form: the probe draws its budget (deadline + candidate cap)
-  /// from `ctx`. Preferred for new callers; the loose-parameter overload
-  /// above is kept for back-compat.
-  std::vector<ViewId> FindCandidates(const QueryDescription& query,
-                                     QueryContext& ctx,
-                                     FilterSearchStats* stats = nullptr) const {
-    return FindCandidates(query, stats, ctx.budget());
-  }
 
   int num_views() const { return num_views_; }
 

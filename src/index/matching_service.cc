@@ -804,14 +804,6 @@ std::vector<Substitute> MatchingService::FindSubstitutesShared(
   return FindSubstitutesOn(*PinnedSnapshot(), query, ctx, analysis);
 }
 
-std::vector<Substitute> MatchingService::FindSubstitutes(
-    const SpjgQuery& query, QueryBudget* budget, QueryTrace* trace) {
-  QueryContext ctx;
-  ctx.BorrowBudget(budget);
-  ctx.set_trace(trace);
-  return FindSubstitutes(query, ctx);
-}
-
 void MatchingService::RecordVerifyRejection(const CatalogSnapshot& snap,
                                             ViewId id, const Verdict& verdict,
                                             VerifyMode mode,
@@ -1131,12 +1123,6 @@ std::optional<UnionSubstitute> MatchingService::FindUnionSubstitute(
     const SpjgQuery& query, QueryContext& ctx) {
   EpochPin pin(reclaim_);
   return FindUnionSubstituteOn(*PinnedSnapshot(), query, ctx);
-}
-
-std::optional<UnionSubstitute> MatchingService::FindUnionSubstitute(
-    const SpjgQuery& query) {
-  QueryContext ctx;
-  return FindUnionSubstitute(query, ctx);
 }
 
 }  // namespace mvopt

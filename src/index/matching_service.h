@@ -231,12 +231,6 @@ class MatchingService : public SubstituteSource {
                                           QueryContext& ctx) override
       MVOPT_EXCLUDES(mu_);
 
-  /// Back-compat loose-parameter form: forwards through a local context.
-  std::vector<Substitute> FindSubstitutes(const SpjgQuery& query,
-                                          QueryBudget* budget = nullptr,
-                                          QueryTrace* trace = nullptr)
-      MVOPT_EXCLUDES(mu_);
-
   /// §7 extension: a union substitute assembled from several
   /// range-partitioned views (SPJ queries only). Tries the views that
   /// survive a relaxed filter probe. Not part of FindSubstitutes so the
@@ -246,10 +240,6 @@ class MatchingService : public SubstituteSource {
   /// "union-match" span into the trace / stage hook.
   std::optional<UnionSubstitute> FindUnionSubstitute(
       const SpjgQuery& query, QueryContext& ctx) override MVOPT_EXCLUDES(mu_);
-
-  /// Back-compat form: default context (no deadline, fresh views only).
-  std::optional<UnionSubstitute> FindUnionSubstitute(const SpjgQuery& query)
-      MVOPT_EXCLUDES(mu_);
 
   /// SubstituteSource: the definition behind one of this service's view
   /// ids. Safe from any thread: the lookup pins the current snapshot,

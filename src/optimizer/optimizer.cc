@@ -838,19 +838,6 @@ PhysPlanPtr Optimizer::OptimizeGroup(Context* ctx, int group_id) {
 }
 
 OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
-                                       QueryBudget* budget) {
-  QueryContext qctx;
-  qctx.BorrowBudget(budget);
-  OptimizationResult result = Optimize(query, qctx);
-  if (budget == nullptr) {
-    // The loose form never reported advisory degradations without a
-    // budget to carry them; keep that contract exact.
-    result.degradation = DegradationReason::kNone;
-  }
-  return result;
-}
-
-OptimizationResult Optimizer::Optimize(const SpjgQuery& query,
                                        QueryContext& qctx) {
   assert(query.num_tables() <= 30);
   QueryBudget* budget = qctx.budget();

@@ -91,21 +91,21 @@ class Optimizer {
 
   /// Optimizes an SPJG query and returns the best physical plan. The
   /// query must reference at most 30 tables. The context carries every
-  /// per-query cross-cutting concern: with a budget, memo expansion,
-  /// view matching and candidate enumeration stop cooperatively on
-  /// exhaustion and the best plan found so far is returned (degradation
-  /// recorded in the result); the context's staleness tolerance and
-  /// match-stage thread pool flow into every FindSubstitutes probe; a
-  /// caller-attached trace receives the probes' stage spans (in
-  /// full-trace mode without one, the optimizer attaches its own trace
-  /// to the context for the duration of the call and hands it back in
-  /// OptimizationResult::trace). A default-constructed context yields
-  /// plans identical to the ungoverned optimizer.
+  /// per-query cross-cutting concern:
+  ///   - with a budget, memo expansion, view matching and candidate
+  ///     enumeration stop cooperatively on exhaustion and the best plan
+  ///     found so far is returned;
+  ///   - its staleness tolerance flows into every FindSubstitutes probe;
+  ///   - a caller-attached trace receives the probes' stage spans. In
+  ///     full-trace mode without one, the optimizer attaches its own
+  ///     trace for the duration of the call and hands it back in
+  ///     OptimizationResult::trace.
+  /// OptimizationResult::degradation is the context's degradation,
+  /// advisories included: even without a budget, a query that only
+  /// stale views could answer reports kStaleViewsOnly. A
+  /// default-constructed context means no deadline, no caps and fresh
+  /// views only.
   OptimizationResult Optimize(const SpjgQuery& query, QueryContext& ctx);
-
-  /// Back-compat loose-parameter form: forwards through a local context.
-  OptimizationResult Optimize(const SpjgQuery& query,
-                              QueryBudget* budget = nullptr);
 
  private:
   struct AggSpec {

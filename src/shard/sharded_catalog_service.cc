@@ -395,53 +395,15 @@ void ShardedCatalogService::RecoverShard(
   outcome->shard = shard_idx;
   const auto start = std::chrono::steady_clock::now();
   Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
+  // Replay, verdict and swap under the writer mutex: a registration that
+  // appended to the store after the replay read it would be in neither
+  // the rebuilt service nor the WAL its next checkpoint resets.
+  MutexLock lock(shard.writer_mu);
   std::unique_ptr<MatchingService> fresh;
-  ShardQuarantineCause cause = ShardQuarantineCause::kNone;
   std::string detail;
-  try {
-    MVOPT_FAILPOINT("catalog_shard.recover");
-    fresh = std::make_unique<MatchingService>(catalog_, options_.service);
-    if (shard.store != nullptr) {
-      // A previous failed attempt may have left the WAL fd open.
-      shard.store->Close();
-      const RecoveryReport rep = fresh->RecoverFrom(shard.store.get());
-      outcome->report = rep;
-      if (!rep.snapshot_error.empty()) {
-        cause = ShardQuarantineCause::kSnapshotCorrupt;
-        detail = rep.snapshot_error;
-      } else if (!rep.quarantined.empty()) {
-        // Entry-level quarantines are survivable for a monolithic
-        // catalog; under fault isolation they demote the whole shard —
-        // its blast radius is small enough to sideline, and readmission
-        // requires a clean rebuild.
-        cause = ShardQuarantineCause::kReplayFailed;
-        detail = std::to_string(rep.quarantined.size()) +
-                 " durable entries unreplayable (first: " +
-                 rep.quarantined.front().name + ")";
-      } else if (options_.quarantine_on_wal_truncation && rep.wal_tail_torn) {
-        cause = ShardQuarantineCause::kWalCorrupt;
-        detail = "WAL tail torn: " +
-                 std::to_string(rep.wal_bytes_truncated) + " bytes truncated";
-      }
-    }
-    if (cause == ShardQuarantineCause::kNone &&
-        options_.audit_after_recovery) {
-      const std::string violations = AuditShard(*fresh);
-      if (!violations.empty()) {
-        cause = ShardQuarantineCause::kAuditFailed;
-        detail = violations;
-      }
-    }
-  } catch (const FailpointTriggered& e) {
-    cause = ShardQuarantineCause::kFailpoint;
-    detail = e.what();
-  } catch (const StoreIoError& e) {
-    cause = ShardQuarantineCause::kIoError;
-    detail = e.what();
-  } catch (const std::exception& e) {
-    cause = ShardQuarantineCause::kReplayFailed;
-    detail = e.what();
-  }
+  const ShardQuarantineCause cause =
+      Rebuild(shard, "catalog_shard.recover", nullptr, &fresh, &detail,
+              &outcome->report);
   outcome->recovery_seconds = SecondsSince(start);
   if (static_cast<size_t>(shard_idx) < metrics_.recovery_latency.size() &&
       metrics_.recovery_latency[static_cast<size_t>(shard_idx)] != nullptr) {
@@ -449,18 +411,74 @@ void ShardedCatalogService::RecoverShard(
         outcome->recovery_seconds);
   }
   if (cause == ShardQuarantineCause::kNone) {
-    Readmit(shard_idx, std::move(fresh));
+    Readmit(shard, shard_idx, std::move(fresh));
     outcome->health = ShardHealth::kHealthy;
     outcome->cause = ShardQuarantineCause::kNone;
   } else {
     // Leave the store closed so the scrubber starts from a clean fd
     // state; the files themselves are untouched (evidence preserved).
     if (shard.store != nullptr) shard.store->Close();
-    Quarantine(shard_idx, cause, detail);
+    Quarantine(shard, shard_idx, cause, detail);
     outcome->health = ShardHealth::kQuarantined;
     outcome->cause = cause;
     outcome->detail = detail;
   }
+}
+
+ShardQuarantineCause ShardedCatalogService::Rebuild(
+    Shard& shard, const char* entry_site, const char* exit_site,
+    std::unique_ptr<MatchingService>* fresh, std::string* detail,
+    RecoveryReport* report) {
+  ShardQuarantineCause cause = ShardQuarantineCause::kNone;
+  try {
+    if (entry_site != nullptr) MVOPT_FAILPOINT(entry_site);
+    *fresh = std::make_unique<MatchingService>(catalog_, options_.service);
+    if (shard.store != nullptr) {
+      // A previous failed attempt may have left the WAL fd open.
+      shard.store->Close();
+      const RecoveryReport rep = (*fresh)->RecoverFrom(shard.store.get());
+      if (report != nullptr) *report = rep;
+      if (!rep.snapshot_error.empty()) {
+        cause = ShardQuarantineCause::kSnapshotCorrupt;
+        *detail = rep.snapshot_error;
+      } else if (!rep.quarantined.empty()) {
+        // Entry-level quarantines are survivable for a monolithic
+        // catalog; under fault isolation they demote the whole shard —
+        // its blast radius is small enough to sideline, and readmission
+        // requires a clean rebuild.
+        cause = ShardQuarantineCause::kReplayFailed;
+        *detail = std::to_string(rep.quarantined.size()) +
+                  " durable entries unreplayable (first: " +
+                  rep.quarantined.front().name + ")";
+      } else if (options_.quarantine_on_wal_truncation && rep.wal_tail_torn) {
+        cause = ShardQuarantineCause::kWalCorrupt;
+        *detail = "WAL tail torn: " +
+                  std::to_string(rep.wal_bytes_truncated) +
+                  " bytes truncated";
+      }
+    }
+    if (cause == ShardQuarantineCause::kNone &&
+        options_.audit_after_recovery) {
+      const std::string violations = AuditShard(**fresh);
+      if (!violations.empty()) {
+        cause = ShardQuarantineCause::kAuditFailed;
+        *detail = violations;
+      }
+    }
+    if (cause == ShardQuarantineCause::kNone && exit_site != nullptr) {
+      MVOPT_FAILPOINT(exit_site);
+    }
+  } catch (const FailpointTriggered& e) {
+    cause = ShardQuarantineCause::kFailpoint;
+    *detail = e.what();
+  } catch (const StoreIoError& e) {
+    cause = ShardQuarantineCause::kIoError;
+    *detail = e.what();
+  } catch (const std::exception& e) {
+    cause = ShardQuarantineCause::kReplayFailed;
+    *detail = e.what();
+  }
+  return cause;
 }
 
 std::string ShardedCatalogService::AuditShard(MatchingService& service) const {
@@ -469,11 +487,10 @@ std::string ShardedCatalogService::AuditShard(MatchingService& service) const {
   return audit.ok() ? std::string() : audit.Summary();
 }
 
-void ShardedCatalogService::Quarantine(int shard_idx,
+void ShardedCatalogService::Quarantine(Shard& shard, int shard_idx,
                                        ShardQuarantineCause cause,
                                        const std::string& detail) {
-  shards_[static_cast<size_t>(shard_idx)]->health.store(
-      ShardHealth::kQuarantined, std::memory_order_release);
+  shard.health.store(ShardHealth::kQuarantined, std::memory_order_release);
   {
     MutexLock lock(admin_mu_);
     ShardAdmin& admin = admin_[static_cast<size_t>(shard_idx)];
@@ -485,7 +502,7 @@ void ShardedCatalogService::Quarantine(int shard_idx,
   UpdateQuarantineGauge();
 }
 
-void ShardedCatalogService::Readmit(int shard_idx,
+void ShardedCatalogService::Readmit(Shard& shard, int shard_idx,
                                     std::unique_ptr<MatchingService> fresh) {
   const TableEpochClock* epochs = nullptr;
   {
@@ -493,18 +510,12 @@ void ShardedCatalogService::Readmit(int shard_idx,
     epochs = epochs_;
   }
   if (epochs != nullptr) fresh->set_epoch_clock(epochs);
-  std::unique_ptr<MatchingService> old;
-  {
-    Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-    MutexLock lock(shard.writer_mu);
-    old = std::move(shard.service);
-    shard.service = std::move(fresh);
-    // Publish for probes before flipping health: a probe that sees
-    // kHealthy must find the replacement, never the retired service.
-    shard.live.store(shard.service.get(), std::memory_order_release);
-  }
-  shards_[static_cast<size_t>(shard_idx)]->health.store(
-      ShardHealth::kHealthy, std::memory_order_release);
+  std::unique_ptr<MatchingService> old = std::move(shard.service);
+  shard.service = std::move(fresh);
+  // Publish for probes before flipping health: a probe that sees
+  // kHealthy must find the replacement, never the retired service.
+  shard.live.store(shard.service.get(), std::memory_order_release);
+  shard.health.store(ShardHealth::kHealthy, std::memory_order_release);
   {
     MutexLock lock(admin_mu_);
     admin_[static_cast<size_t>(shard_idx)] = ShardAdmin{};
@@ -520,13 +531,13 @@ int ShardedCatalogService::CheckpointAll() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
     if (shard.store == nullptr) continue;
-    if (shard.health.load(std::memory_order_acquire) !=
-        ShardHealth::kHealthy) {
-      continue;
-    }
     try {
-      MVOPT_FAILPOINT("catalog_shard.checkpoint");
       MutexLock lock(shard.writer_mu);
+      if (shard.health.load(std::memory_order_acquire) !=
+          ShardHealth::kHealthy) {
+        continue;
+      }
+      MVOPT_FAILPOINT("catalog_shard.checkpoint");
       shard.service->Checkpoint();
       ++checkpointed;
     } catch (const StoreIoError&) {
@@ -544,12 +555,17 @@ int ShardedCatalogService::ScrubTick() {
   int readmitted = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = *shards_[i];
+    // The whole attempt (health check, replay, swap and repair
+    // checkpoint) runs under the writer mutex. Quarantine takes it too,
+    // so a registration that passed its health check has finished its
+    // WAL append before the replay reads the store.
+    MutexLock lock(shard.writer_mu);
     if (shard.health.load(std::memory_order_acquire) !=
         ShardHealth::kQuarantined) {
       continue;
     }
     {
-      MutexLock lock(admin_mu_);
+      MutexLock admin_lock(admin_mu_);
       ShardAdmin& admin = admin_[i];
       if (admin.backoff_remaining > 0) {
         --admin.backoff_remaining;
@@ -560,54 +576,14 @@ int ShardedCatalogService::ScrubTick() {
       metrics_.scrub_attempts->Increment();
     }
     std::unique_ptr<MatchingService> fresh;
-    ShardQuarantineCause cause = ShardQuarantineCause::kNone;
     std::string detail;
-    try {
-      fresh = std::make_unique<MatchingService>(catalog_, options_.service);
-      if (shard.store != nullptr) {
-        shard.store->Close();
-        const RecoveryReport rep = fresh->RecoverFrom(shard.store.get());
-        if (!rep.snapshot_error.empty()) {
-          cause = ShardQuarantineCause::kSnapshotCorrupt;
-          detail = rep.snapshot_error;
-        } else if (!rep.quarantined.empty()) {
-          cause = ShardQuarantineCause::kReplayFailed;
-          detail = std::to_string(rep.quarantined.size()) +
-                   " durable entries unreplayable";
-        } else if (options_.quarantine_on_wal_truncation &&
-                   rep.wal_tail_torn) {
-          cause = ShardQuarantineCause::kWalCorrupt;
-          detail = "WAL tail torn: " +
-                   std::to_string(rep.wal_bytes_truncated) +
-                   " bytes truncated";
-        }
-      }
-      if (cause == ShardQuarantineCause::kNone &&
-          options_.audit_after_recovery) {
-        const std::string violations = AuditShard(*fresh);
-        if (!violations.empty()) {
-          cause = ShardQuarantineCause::kAuditFailed;
-          detail = violations;
-        }
-      }
-      if (cause == ShardQuarantineCause::kNone) {
-        MVOPT_FAILPOINT("catalog_shard.scrub_swap");
-      }
-    } catch (const FailpointTriggered& e) {
-      cause = ShardQuarantineCause::kFailpoint;
-      detail = e.what();
-    } catch (const StoreIoError& e) {
-      cause = ShardQuarantineCause::kIoError;
-      detail = e.what();
-    } catch (const std::exception& e) {
-      cause = ShardQuarantineCause::kReplayFailed;
-      detail = e.what();
-    }
+    const ShardQuarantineCause cause = Rebuild(
+        shard, nullptr, "catalog_shard.scrub_swap", &fresh, &detail, nullptr);
     if (cause != ShardQuarantineCause::kNone) {
       // Circuit breaker: the fault persists, double the wait before the
       // next attempt so a rotting shard doesn't consume every tick.
       if (shard.store != nullptr) shard.store->Close();
-      MutexLock lock(admin_mu_);
+      MutexLock admin_lock(admin_mu_);
       ShardAdmin& admin = admin_[i];
       admin.cause = cause;
       admin.detail = detail;
@@ -617,13 +593,12 @@ int ShardedCatalogService::ScrubTick() {
       admin.backoff_remaining = admin.backoff_window;
       continue;
     }
-    Readmit(static_cast<int>(i), std::move(fresh));
+    Readmit(shard, static_cast<int>(i), std::move(fresh));
     ++readmitted;
     if (metrics_.readmissions != nullptr) metrics_.readmissions->Increment();
     if (shard.store != nullptr) {
       try {
         MVOPT_FAILPOINT("catalog_shard.scrub_checkpoint");
-        MutexLock lock(shard.writer_mu);
         shard.service->Checkpoint();
         if (metrics_.scrub_repairs != nullptr) {
           metrics_.scrub_repairs->Increment();
@@ -642,7 +617,9 @@ int ShardedCatalogService::ScrubTick() {
 void ShardedCatalogService::ForceQuarantine(int shard,
                                             ShardQuarantineCause cause,
                                             const std::string& detail) {
-  Quarantine(shard, cause, detail);
+  Shard& s = *shards_[static_cast<size_t>(shard)];
+  MutexLock lock(s.writer_mu);
+  Quarantine(s, shard, cause, detail);
 }
 
 int ShardedCatalogService::NextScrubBackoffWindow(int current,
@@ -676,11 +653,11 @@ int ShardedCatalogService::RevalidationTickAll(
     const std::function<bool(const ViewDefinition&)>& validate) {
   int readmitted = 0;
   for (auto& shard : shards_) {
+    MutexLock lock(shard->writer_mu);
     if (shard->health.load(std::memory_order_acquire) !=
         ShardHealth::kHealthy) {
       continue;
     }
-    MutexLock lock(shard->writer_mu);
     readmitted += shard->service->RevalidationTick(validate);
   }
   return readmitted;

@@ -37,9 +37,10 @@
 // ResolveView / stats) load it with acquire and call straight through —
 // the pointed-to service synchronizes probes internally with its own
 // snapshot pin, so the probe path acquires zero shared locks end to
-// end. Writers (AddView delegation, recovery/scrub swap, checkpoint,
-// revalidation) serialize on the shard's writer mutex, which guards the
-// owning `service` unique_ptr; a swap publishes the replacement into
+// end. Writers (AddView delegation, quarantine, the recovery/scrub
+// rebuild and swap, checkpoint, revalidation) serialize on the shard's
+// writer mutex, which guards the owning `service` unique_ptr and every
+// write of the shard's health; a swap publishes the replacement into
 // `live` before flipping health. Scrub-retired services are kept alive
 // on retired_ for the service's lifetime, so a probe that loaded `live`
 // just before a swap (or a ResolveView reference handed out long ago)
@@ -269,14 +270,17 @@ class ShardedCatalogService : public SubstituteSource {
   int CheckpointAll();
 
   /// One scrubber pass: for each quarantined shard past its backoff,
-  /// rebuild a fresh service from the store, re-audit, and swap it in
-  /// under the shard's writer lock. Returns the number readmitted; a
-  /// failed attempt doubles the shard's backoff (circuit breaker).
+  /// rebuild a fresh service from the store, re-audit, swap it in and
+  /// write the repair snapshot, all under the shard's writer lock.
+  /// Returns the number readmitted; a failed attempt doubles the
+  /// shard's backoff (circuit breaker).
   int ScrubTick();
 
   /// Administrative quarantine (operators, chaos tests, the crash
-  /// driver's scrub-site arming). Resets the scrub backoff so the next
-  /// ScrubTick retries immediately.
+  /// driver's scrub-site arming). Waits for an in-flight registration on
+  /// the shard to finish, so an acknowledged view is always in the store
+  /// the scrub replays. Resets the scrub backoff so the next ScrubTick
+  /// retries immediately.
   void ForceQuarantine(int shard, ShardQuarantineCause cause,
                        const std::string& detail);
 
@@ -357,9 +361,10 @@ class ShardedCatalogService : public SubstituteSource {
 
  private:
   struct Shard {
-    /// Serializes writers: AddView delegation, the recovery/scrub swap,
-    /// checkpoint and revalidation. Probes never take it — they go
-    /// through the atomic `live` pointer below.
+    /// Serializes writers: AddView delegation, quarantine, the
+    /// recovery/scrub rebuild and swap, checkpoint and revalidation.
+    /// Probes never take it — they go through the atomic `live` pointer
+    /// below. Taken before admin_mu_ when both are held.
     mutable Mutex writer_mu;
     /// The owning pointer (current generation). Written only under
     /// writer_mu; probes must not touch it.
@@ -371,6 +376,11 @@ class ShardedCatalogService : public SubstituteSource {
     std::atomic<MatchingService*> live{nullptr};
     /// Stable address, internally synchronized; null when dir is empty.
     std::unique_ptr<CatalogStore> store;
+    /// Probes read it lock-free. It is written only under writer_mu, and
+    /// every read that gates a write to `store` or `service` is made
+    /// under writer_mu too, so a registration that passed its health
+    /// check finishes before a quarantine lands, and a scrub's replay
+    /// never races an append.
     std::atomic<ShardHealth> health{ShardHealth::kHealthy};
   };
 
@@ -384,15 +394,29 @@ class ShardedCatalogService : public SubstituteSource {
     int backoff_window = 0;     ///< current circuit-breaker window
   };
 
-  /// Recovery of one shard: replay + audit into a fresh service, then
-  /// swap it in or quarantine. Never throws (tasks run on a pool).
+  /// Recovery of one shard: Rebuild, then swap the result in or
+  /// quarantine. Never throws (tasks run on a pool).
   void RecoverShard(int shard, ShardRecoveryReport::ShardOutcome* outcome);
   /// Applies a quarantine verdict to shard bookkeeping + metrics.
-  void Quarantine(int shard, ShardQuarantineCause cause,
-                  const std::string& detail) MVOPT_EXCLUDES(admin_mu_);
-  /// Publishes a rebuilt service and marks the shard healthy.
-  void Readmit(int shard, std::unique_ptr<MatchingService> fresh)
+  void Quarantine(Shard& shard, int shard_idx, ShardQuarantineCause cause,
+                  const std::string& detail) MVOPT_REQUIRES(shard.writer_mu)
       MVOPT_EXCLUDES(admin_mu_);
+  /// Publishes a rebuilt service and marks the shard healthy.
+  void Readmit(Shard& shard, int shard_idx,
+               std::unique_ptr<MatchingService> fresh)
+      MVOPT_REQUIRES(shard.writer_mu) MVOPT_EXCLUDES(admin_mu_);
+  /// The rebuild shared by recovery and the scrubber: replays the
+  /// shard's store into `*fresh` and audits it. `entry_site` and
+  /// `exit_site` name the caller's failpoints, checked before the replay
+  /// and after a clean verdict (null = none). Returns kNone, or the
+  /// quarantine cause with `*detail` set; never throws. The caller swaps
+  /// `*fresh` in or quarantines while still holding writer_mu, so no
+  /// registration can append between the replay and the swap.
+  ShardQuarantineCause Rebuild(Shard& shard, const char* entry_site,
+                               const char* exit_site,
+                               std::unique_ptr<MatchingService>* fresh,
+                               std::string* detail, RecoveryReport* report)
+      MVOPT_REQUIRES(shard.writer_mu);
   /// Audits a rebuilt (not yet published) shard service; empty string =
   /// pass.
   std::string AuditShard(MatchingService& service) const;

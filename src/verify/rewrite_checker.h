@@ -30,7 +30,6 @@
 
 #include "catalog/catalog.h"
 #include "common/enum_coverage.h"
-#include "common/query_context.h"
 #include "query/spjg.h"
 #include "query/substitute.h"
 #include "query/view_def.h"
@@ -152,16 +151,6 @@ class RewriteChecker {
   /// (including hostile) substitutes.
   Verdict Check(const SpjgQuery& query, const ViewDefinition& view,
                 const Substitute& sub) const;
-
-  /// Context form: charges the proof against the query's budget (one
-  /// deadline tick per check — the proof itself always runs to its
-  /// verdict; soundness is never traded for latency mid-check). The
-  /// verdict is identical to the loose overload's.
-  Verdict Check(const SpjgQuery& query, const ViewDefinition& view,
-                const Substitute& sub, QueryContext& ctx) const {
-    ctx.TickDeadline();
-    return Check(query, view, sub);
-  }
 
  private:
   Verdict CheckWithMapping(const SpjgQuery& query, const ViewDefinition& view,

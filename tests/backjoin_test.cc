@@ -181,7 +181,8 @@ TEST_F(BackjoinTest, EndToEndExecutionMatchesReference) {
   db.MaterializeView(v);
 
   SpjgQuery query = RetailPriceQuery();
-  auto subs = service.FindSubstitutes(query);
+  QueryContext ctx;
+  auto subs = service.FindSubstitutes(query, ctx);
   ASSERT_EQ(subs.size(), 1u);
   ASSERT_FALSE(subs[0].backjoins.empty());
   auto expected = Canonicalize(db.ExecuteSpjg(query));

@@ -59,7 +59,8 @@ class ConcurrencyStressTest : public ::testing::Test {
   std::vector<ViewId> Signature(MatchingService* service,
                                 const SpjgQuery& query) {
     std::vector<ViewId> ids;
-    for (const Substitute& s : service->FindSubstitutes(query)) {
+    QueryContext ctx;
+    for (const Substitute& s : service->FindSubstitutes(query, ctx)) {
       ids.push_back(s.view_id);
     }
     std::sort(ids.begin(), ids.end());
@@ -106,7 +107,9 @@ TEST_F(ConcurrencyStressTest, ProbesDuringAddViewMatchFinalReference) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           for (const Substitute& s : subs) {
             EXPECT_NE(s.view_id, kInvalidViewId);
           }
@@ -191,7 +194,8 @@ TEST_F(ConcurrencyStressTest, InjectedMatcherFaultsStayIsolatedUnderLoad) {
     readers.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
         for (const SpjgQuery& q : queries_) {
-          EXPECT_NO_THROW((void)service.FindSubstitutes(q));
+          QueryContext ctx;
+          EXPECT_NO_THROW((void)service.FindSubstitutes(q, ctx));
         }
       }
     });
@@ -225,7 +229,8 @@ TEST_F(ConcurrencyStressTest, StatsSnapshotsNeverTearUnderConcurrentProbes) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
           probes.fetch_add(1);
         }
       }
@@ -251,7 +256,10 @@ TEST_F(ConcurrencyStressTest, StatsSnapshotsNeverTearUnderConcurrentProbes) {
   // kRounds * (one serial pass) — nothing lost, nothing double-counted.
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   const MatchingStats got = service.stats();
   EXPECT_EQ(got.invocations, probes.load());
@@ -279,7 +287,8 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetsLoseNoProbes) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
           probes.fetch_add(1);
         }
       }
@@ -308,7 +317,10 @@ TEST_F(ConcurrencyStressTest, ConcurrentResetsLoseNoProbes) {
 
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   EXPECT_EQ(harvested.candidates, expected.candidates * 12);
   EXPECT_EQ(harvested.full_tests, expected.full_tests * 12);
@@ -331,7 +343,8 @@ TEST_F(ConcurrencyStressTest, RegistryCountersMatchStatsAfterConcurrentLoad) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 6; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
     });
@@ -383,7 +396,9 @@ TEST_F(ConcurrencyStressTest, QuarantineReadmissionUnderConcurrentProbes) {
     readers.emplace_back([&, t] {
       while (!stop.load()) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           // Note: no IsQuarantined check here — a view may be sidelined
           // between the probe and the assertion; only the quiescent
           // cross-check below is race-free.
@@ -442,7 +457,8 @@ TEST_F(ConcurrencyStressTest, VerifyModeFlipsNeverTearProbeAccounting) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 12; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          (void)service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          (void)service.FindSubstitutes(queries_[q], ctx);
         }
       }
     });

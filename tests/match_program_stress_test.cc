@@ -88,7 +88,9 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
     readers.emplace_back([&, t] {
       for (int round = 0; round < 10; ++round) {
         for (size_t q = t; q < queries_.size(); q += kNumReaders) {
-          std::vector<Substitute> subs = service.FindSubstitutes(queries_[q]);
+          QueryContext ctx;
+          std::vector<Substitute> subs =
+              service.FindSubstitutes(queries_[q], ctx);
           for (const Substitute& s : subs) {
             EXPECT_NE(s.view_id, kInvalidViewId);
           }
@@ -120,10 +122,12 @@ TEST_F(MatchProgramStressTest, CompiledProbesRaceRegistrationUnderEnforce) {
   AddViewRange(&reference, 0, kNumViews);
   for (const SpjgQuery& q : queries_) {
     std::vector<ViewId> got, want;
-    for (const Substitute& s : service.FindSubstitutes(q)) {
+    QueryContext ctx;
+    for (const Substitute& s : service.FindSubstitutes(q, ctx)) {
       got.push_back(s.view_id);
     }
-    for (const Substitute& s : reference.FindSubstitutes(q)) {
+    QueryContext reference_ctx;
+    for (const Substitute& s : reference.FindSubstitutes(q, reference_ctx)) {
       want.push_back(s.view_id);
     }
     EXPECT_EQ(got, want);
@@ -146,7 +150,8 @@ TEST_F(MatchProgramStressTest, ParallelPipelineAgreesWithSerialAcrossTiers) {
     AddViewRange(&service, 0, kNumViews);
     for (const SpjgQuery& q : queries_) {
       std::vector<ViewId> ids;
-      for (const Substitute& s : service.FindSubstitutes(q)) {
+      QueryContext ctx;
+      for (const Substitute& s : service.FindSubstitutes(q, ctx)) {
         ids.push_back(s.view_id);
       }
       expected.push_back(ids);

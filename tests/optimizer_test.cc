@@ -48,7 +48,8 @@ class OptimizerTest : public ::testing::Test {
 
   void ExpectPlanMatchesReference(const SpjgQuery& query,
                                   Optimizer* optimizer) {
-    OptimizationResult result = optimizer->Optimize(query);
+    QueryContext ctx;
+    OptimizationResult result = optimizer->Optimize(query, ctx);
     ASSERT_NE(result.plan, nullptr);
     PlanExecutor exec(&db_);
     auto got = Canonicalize(exec.Execute(result.plan));
@@ -112,7 +113,8 @@ TEST_F(OptimizerTest, IndexRangeScanChosenForSelectivePkRange) {
                             Expr::MakeLiteral(Value::Int64(20))));
   b.Output(b.Col(o, "o_orderkey"));
   Optimizer optimizer(&catalog_, nullptr);
-  OptimizationResult result = optimizer.Optimize(b.Build());
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(b.Build(), ctx);
   ASSERT_NE(result.plan, nullptr);
   // Project over an index range scan.
   ASSERT_EQ(result.plan->kind, PhysKind::kProject);
@@ -168,14 +170,16 @@ TEST_F(OptimizerViewTest, ViewBasedPlanWinsAndMatchesReference) {
   SpjgQuery query = qb.Build();
 
   Optimizer with_views(&catalog_, &service_);
-  OptimizationResult result = with_views.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = with_views.Optimize(query, ctx);
   ASSERT_NE(result.plan, nullptr);
   EXPECT_TRUE(result.uses_view) << result.plan->ToString(catalog_);
   EXPECT_GT(result.metrics.view_matching_invocations, 0);
   EXPECT_GT(result.metrics.substitutes_produced, 0);
 
   Optimizer without_views(&catalog_, nullptr);
-  OptimizationResult baseline = without_views.Optimize(query);
+  QueryContext baseline_ctx;
+  OptimizationResult baseline = without_views.Optimize(query, baseline_ctx);
   EXPECT_LT(result.cost, baseline.cost);
 
   PlanExecutor exec(&db_);
@@ -218,7 +222,8 @@ TEST_F(OptimizerViewTest, PaperExample4ThroughPreaggregation) {
   SpjgQuery query = qb.Build();
 
   Optimizer optimizer(&catalog_, &service_);
-  OptimizationResult result = optimizer.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(query, ctx);
   ASSERT_NE(result.plan, nullptr);
   EXPECT_TRUE(result.uses_view)
       << "pre-aggregation + view matching should rewrite via v4:\n"
@@ -229,7 +234,8 @@ TEST_F(OptimizerViewTest, PaperExample4ThroughPreaggregation) {
   OptimizerOptions no_preagg;
   no_preagg.enable_preaggregation = false;
   Optimizer limited(&catalog_, &service_, no_preagg);
-  OptimizationResult limited_result = limited.Optimize(query);
+  QueryContext limited_ctx;
+  OptimizationResult limited_result = limited.Optimize(query, limited_ctx);
   EXPECT_FALSE(limited_result.uses_view);
   ExpectPlanMatchesReference(query, &limited);
 }
@@ -249,7 +255,8 @@ TEST_F(OptimizerViewTest, NoSubstitutesModeStillInvokesMatching) {
   OptimizerOptions opts;
   opts.produce_substitutes = false;  // Figure 2's "No Alt" series
   Optimizer optimizer(&catalog_, &service_, opts);
-  OptimizationResult result = optimizer.Optimize(query);
+  QueryContext ctx;
+  OptimizationResult result = optimizer.Optimize(query, ctx);
   EXPECT_GT(result.metrics.view_matching_invocations, 0);
   EXPECT_FALSE(result.uses_view);
 }
@@ -298,10 +305,12 @@ TEST_F(OptimizerViewTest, EqualCostViewsTieBreakIndependentOfSourceOrder) {
   const SpjgQuery query = definition(false);
 
   ReversedSource reversed(&service_);
+  QueryContext forward_ctx;
   OptimizationResult forward =
-      Optimizer(&catalog_, &service_).Optimize(query);
+      Optimizer(&catalog_, &service_).Optimize(query, forward_ctx);
+  QueryContext backward_ctx;
   OptimizationResult backward =
-      Optimizer(&catalog_, &reversed).Optimize(query);
+      Optimizer(&catalog_, &reversed).Optimize(query, backward_ctx);
   ASSERT_NE(forward.plan, nullptr);
   ASSERT_NE(backward.plan, nullptr);
   const std::string plan = forward.plan->ToString(catalog_);
@@ -346,7 +355,8 @@ TEST_P(OptimizerPropertyTest, BestPlansMatchReferenceWithAndWithoutViews) {
     SpjgQuery query = query_gen.GenerateQuery();
     auto expected = Canonicalize(db.ExecuteSpjg(query));
 
-    OptimizationResult r1 = with_views.Optimize(query);
+    QueryContext ctx1;
+    OptimizationResult r1 = with_views.Optimize(query, ctx1);
     ASSERT_NE(r1.plan, nullptr);
     auto got1 = Canonicalize(exec.Execute(r1.plan));
     ASSERT_EQ(got1, expected) << "with-views plan diverges:\n"
@@ -354,7 +364,8 @@ TEST_P(OptimizerPropertyTest, BestPlansMatchReferenceWithAndWithoutViews) {
                               << query.ToSql(catalog);
     if (r1.uses_view) ++used_views;
 
-    OptimizationResult r2 = without_views.Optimize(query);
+    QueryContext ctx2;
+    OptimizationResult r2 = without_views.Optimize(query, ctx2);
     ASSERT_NE(r2.plan, nullptr);
     auto got2 = Canonicalize(exec.Execute(r2.plan));
     ASSERT_EQ(got2, expected) << "no-views plan diverges:\n"

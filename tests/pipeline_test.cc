@@ -138,16 +138,20 @@ TEST_F(PipelineTest, UnionSubstituteRespectsTheContextDeadline) {
   EXPECT_TRUE(ctx.exhausted());
 }
 
-TEST_F(PipelineTest, ContextAndLooseCallsAgreeOnUnionResults) {
+TEST_F(PipelineTest, UnlimitedBudgetLeavesUnionResultsUnchanged) {
   MatchingService service(&catalog_);
   AddWorkloadViews(&service, 30, 29);
   for (const SpjgQuery& q : MakeQueries(10, 777)) {
-    QueryContext ctx;
-    std::optional<UnionSubstitute> via_ctx = service.FindUnionSubstitute(q, ctx);
-    std::optional<UnionSubstitute> legacy = service.FindUnionSubstitute(q);
-    ASSERT_EQ(via_ctx.has_value(), legacy.has_value());
-    if (via_ctx.has_value()) {
-      EXPECT_EQ(via_ctx->legs.size(), legacy->legs.size());
+    QueryContext plain;
+    std::optional<UnionSubstitute> ungoverned =
+        service.FindUnionSubstitute(q, plain);
+    QueryContext governed;
+    governed.EmplaceBudget();  // present but unlimited
+    std::optional<UnionSubstitute> budgeted =
+        service.FindUnionSubstitute(q, governed);
+    ASSERT_EQ(budgeted.has_value(), ungoverned.has_value());
+    if (budgeted.has_value()) {
+      EXPECT_EQ(budgeted->legs.size(), ungoverned->legs.size());
     }
   }
 }

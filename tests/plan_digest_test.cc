@@ -137,7 +137,8 @@ TEST(PlanDigestTest, PaperStream) {
   uint64_t h = 14695981039346656037ULL;
   int using_views = 0;
   for (int j = 0; j < kNumQueries; ++j) {
-    h = FoldPlan(h, catalog, optimizer.Optimize(query_gen.GenerateQuery()),
+    QueryContext ctx;
+    h = FoldPlan(h, catalog, optimizer.Optimize(query_gen.GenerateQuery(), ctx),
                  &using_views);
   }
   h = Fold(h, StatsText(service.stats()));
@@ -162,11 +163,14 @@ TEST(PlanDigestTest, ViewReplayStreamWithEnforcedVerification) {
   uint64_t h = 14695981039346656037ULL;
   int using_views = 0;
   for (const SpjgQuery& def : defs) {
-    h = FoldPlan(h, catalog, optimizer.Optimize(def), &using_views);
+    QueryContext optimize_ctx;
+    h = FoldPlan(h, catalog, optimizer.Optimize(def, optimize_ctx),
+                 &using_views);
     // The root probe's substitutes, in the order the service returns
     // them (the optimizer's choice depends on that order only for exact
     // cost ties, so the plan digest alone does not pin it).
-    for (const Substitute& sub : service.FindSubstitutes(def)) {
+    QueryContext probe_ctx;
+    for (const Substitute& sub : service.FindSubstitutes(def, probe_ctx)) {
       h = Fold(h, SubstituteText(sub));
     }
   }

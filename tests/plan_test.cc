@@ -27,7 +27,8 @@ TEST_F(PlanTest, ToStringRendersTreeShape) {
                             Expr::MakeLiteral(Value::Int64(100))));
   b.Output(b.Col(l, "l_orderkey"));
   Optimizer optimizer(&catalog_, nullptr);
-  OptimizationResult r = optimizer.Optimize(b.Build());
+  QueryContext ctx;
+  OptimizationResult r = optimizer.Optimize(b.Build(), ctx);
   ASSERT_NE(r.plan, nullptr);
   std::string s = r.plan->ToString(catalog_);
   EXPECT_NE(s.find("Project"), std::string::npos);
@@ -69,7 +70,8 @@ TEST_F(PlanTest, MetricsAccumulateAcrossGroups) {
                              qb.Col(qo, "o_orderkey")));
   qb.Output(qb.Col(ql, "l_partkey"));
   Optimizer optimizer(&catalog_, &service);
-  OptimizationResult r = optimizer.Optimize(qb.Build());
+  QueryContext ctx;
+  OptimizationResult r = optimizer.Optimize(qb.Build(), ctx);
   // Three SPJG groups: {lineitem}, {orders}, {lineitem, orders}.
   EXPECT_EQ(r.metrics.view_matching_invocations, 3);
   EXPECT_GE(r.metrics.groups_created, 3);
@@ -98,7 +100,8 @@ TEST_F(PlanTest, RejectReasonCountersFillIn) {
   qb.Where(Expr::MakeCompare(CompareOp::kGt, qb.Col(ql, "l_partkey"),
                              Expr::MakeLiteral(Value::Int64(500))));
   qb.Output(qb.Col(ql, "l_orderkey"));
-  auto subs = service.FindSubstitutes(qb.Build());
+  QueryContext ctx;
+  auto subs = service.FindSubstitutes(qb.Build(), ctx);
   EXPECT_TRUE(subs.empty());
   EXPECT_EQ(service.stats().rejects[static_cast<size_t>(
                 RejectReason::kRangeSubsumption)],
@@ -110,7 +113,8 @@ TEST_F(PlanTest, UnionSubstituteRequiresCandidates) {
   SpjgBuilder qb(&catalog_);
   int l = qb.AddTable("lineitem");
   qb.Output(qb.Col(l, "l_orderkey"));
-  EXPECT_FALSE(service.FindUnionSubstitute(qb.Build()).has_value());
+  QueryContext ctx;
+  EXPECT_FALSE(service.FindUnionSubstitute(qb.Build(), ctx).has_value());
 }
 
 }  // namespace

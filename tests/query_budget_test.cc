@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/epoch.h"
 #include "index/matching_service.h"
 #include "optimizer/optimizer.h"
 #include "tpch/schema.h"
@@ -164,9 +165,11 @@ TEST_F(BudgetOptimizerTest, UnlimitedBudgetPlansAreByteIdentical) {
   AddWorkloadViews(&service, 60, 11);
   Optimizer optimizer(&catalog_, &service);
   for (const SpjgQuery& q : MakeQueries(25, 999)) {
-    OptimizationResult plain = optimizer.Optimize(q);
-    QueryBudget budget;  // present but unlimited
-    OptimizationResult governed = optimizer.Optimize(q, &budget);
+    QueryContext plain_ctx;
+    OptimizationResult plain = optimizer.Optimize(q, plain_ctx);
+    QueryContext governed_ctx;
+    governed_ctx.EmplaceBudget();  // present but unlimited
+    OptimizationResult governed = optimizer.Optimize(q, governed_ctx);
     ASSERT_NE(plain.plan, nullptr);
     ASSERT_NE(governed.plan, nullptr);
     EXPECT_EQ(governed.plan->ToString(catalog_),
@@ -188,9 +191,9 @@ TEST_F(BudgetOptimizerTest, MillisecondDeadlineOnLargeCatalogNeverHangs) {
   Optimizer optimizer(&catalog_, &service);
   int degraded = 0;
   for (const SpjgQuery& q : MakeQueries(20, 555)) {
-    QueryBudget budget;
-    budget.set_deadline_after(microseconds(100));
-    OptimizationResult r = optimizer.Optimize(q, &budget);
+    QueryContext ctx;
+    ctx.EmplaceBudget().set_deadline_after(microseconds(100));
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     ASSERT_NE(r.plan, nullptr);
     EXPECT_FALSE(r.plan->ToString(catalog_).empty());
     if (r.degradation != DegradationReason::kNone) {
@@ -205,9 +208,10 @@ TEST_F(BudgetOptimizerTest, AlreadyExpiredDeadlineStillYieldsBasePlan) {
   MatchingService service(&catalog_);
   AddWorkloadViews(&service, 100, 31);
   Optimizer optimizer(&catalog_, &service);
-  QueryBudget budget;
-  budget.set_deadline(QueryBudget::Clock::now() - milliseconds(5));
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  QueryContext ctx;
+  ctx.EmplaceBudget().set_deadline(QueryBudget::Clock::now() -
+                                   milliseconds(5));
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kDeadlineExceeded);
   // The degraded plan is still a complete, printable plan tree.
@@ -224,19 +228,22 @@ TEST_F(BudgetOptimizerTest, CandidateCapTruncatesTheFilterProbe) {
   vb.Output(vb.Col(l, "l_partkey"));
   SpjgQuery def = vb.Build();
   ASSERT_NE(service.AddView("v", def, &error), nullptr) << error;
-  QueryBudget budget;
+  QueryContext capped;
+  QueryBudget& budget = capped.EmplaceBudget();
   budget.set_candidate_cap(0);
-  EXPECT_TRUE(service.FindSubstitutes(def, &budget).empty());
+  EXPECT_TRUE(service.FindSubstitutes(def, capped).empty());
   EXPECT_EQ(budget.reason(), DegradationReason::kCandidateCapReached);
   // Without the cap the same probe matches.
-  EXPECT_EQ(service.FindSubstitutes(def).size(), 1u);
+  QueryContext uncapped;
+  EXPECT_EQ(service.FindSubstitutes(def, uncapped).size(), 1u);
 }
 
 TEST_F(BudgetOptimizerTest, MemoGroupCapDegradesButCompletesThePlan) {
   Optimizer optimizer(&catalog_, nullptr);
-  QueryBudget budget;
+  QueryContext ctx;
+  QueryBudget& budget = ctx.EmplaceBudget();
   budget.set_memo_group_cap(1);
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kMemoGroupCapReached);
   EXPECT_GT(budget.memo_groups_used(), 0);
@@ -244,9 +251,9 @@ TEST_F(BudgetOptimizerTest, MemoGroupCapDegradesButCompletesThePlan) {
 
 TEST_F(BudgetOptimizerTest, MemoExprCapDegradesButCompletesThePlan) {
   Optimizer optimizer(&catalog_, nullptr);
-  QueryBudget budget;
-  budget.set_memo_expr_cap(0);
-  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), &budget);
+  QueryContext ctx;
+  ctx.EmplaceBudget().set_memo_expr_cap(0);
+  OptimizationResult r = optimizer.Optimize(ThreeTableQuery(), ctx);
   ASSERT_NE(r.plan, nullptr);
   EXPECT_EQ(r.degradation, DegradationReason::kMemoExprCapReached);
 }
@@ -257,10 +264,43 @@ TEST_F(BudgetOptimizerTest, BudgetTruncationSurfacesInMatchingStats) {
   QueryBudget budget;
   budget.set_deadline(QueryBudget::Clock::now() - milliseconds(1));
   for (const SpjgQuery& q : MakeQueries(5, 777)) {
-    (void)service.FindSubstitutes(q, &budget);
+    QueryContext ctx;
+    ctx.BorrowBudget(&budget);
+    (void)service.FindSubstitutes(q, ctx);
   }
   // An expired deadline stops candidate enumeration and full matching.
   EXPECT_EQ(service.stats().full_tests, 0);
+}
+
+TEST_F(BudgetOptimizerTest, StaleOnlyAdvisoryReachesTheResultWithoutABudget) {
+  // OptimizationResult::degradation is the context's degradation as is:
+  // with a default context (no budget) and only stale views able to
+  // answer, the optimizer plans over base tables and says why.
+  MatchingService service(&catalog_);
+  TableEpochClock epochs;
+  service.set_epoch_clock(&epochs);
+  SpjgBuilder vb(&catalog_);
+  int l = vb.AddTable("lineitem");
+  vb.Output(vb.Col(l, "l_orderkey"));
+  vb.Output(vb.Col(l, "l_partkey"));
+  const SpjgQuery q = vb.Build();
+  std::string error;
+  ASSERT_NE(service.AddView("self", q, &error), nullptr) << error;
+  Optimizer optimizer(&catalog_, &service);
+
+  QueryContext fresh_ctx;
+  OptimizationResult fresh = optimizer.Optimize(q, fresh_ctx);
+  ASSERT_NE(fresh.plan, nullptr);
+  EXPECT_GT(fresh.metrics.substitutes_produced, 0);
+  EXPECT_EQ(fresh.degradation, DegradationReason::kNone);
+
+  for (int t = 0; t < catalog_.num_tables(); ++t) epochs.Advance(t);
+  QueryContext stale_ctx;
+  OptimizationResult stale = optimizer.Optimize(q, stale_ctx);
+  ASSERT_NE(stale.plan, nullptr);
+  EXPECT_EQ(stale.metrics.substitutes_produced, 0);
+  EXPECT_FALSE(stale.uses_view);
+  EXPECT_EQ(stale.degradation, DegradationReason::kStaleViewsOnly);
 }
 
 TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
@@ -274,7 +314,9 @@ TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
 
   QueryBudget budget;
   budget.set_memo_expr_cap(0);
-  OptimizationResult capped = optimizer.Optimize(q, &budget);
+  QueryContext capped_ctx;
+  capped_ctx.BorrowBudget(&budget);
+  OptimizationResult capped = optimizer.Optimize(q, capped_ctx);
   ASSERT_NE(capped.plan, nullptr);
   EXPECT_EQ(capped.degradation, DegradationReason::kMemoExprCapReached);
 
@@ -282,7 +324,9 @@ TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
   // from a clean slate instead of reporting (or acting on) the stale
   // exhaustion.
   budget.set_memo_expr_cap(QueryBudget::kUnlimited);
-  OptimizationResult clean = optimizer.Optimize(q, &budget);
+  QueryContext clean_ctx;
+  clean_ctx.BorrowBudget(&budget);
+  OptimizationResult clean = optimizer.Optimize(q, clean_ctx);
   ASSERT_NE(clean.plan, nullptr);
   EXPECT_EQ(clean.degradation, DegradationReason::kNone);
   EXPECT_FALSE(budget.exhausted());
@@ -291,7 +335,9 @@ TEST_F(BudgetOptimizerTest, ReusedBudgetDoesNotCarryDegradationForward) {
   // rather than compounding counters across runs.
   budget.set_memo_expr_cap(0);
   for (int i = 0; i < 3; ++i) {
-    OptimizationResult r = optimizer.Optimize(q, &budget);
+    QueryContext ctx;
+    ctx.BorrowBudget(&budget);
+    OptimizationResult r = optimizer.Optimize(q, ctx);
     ASSERT_NE(r.plan, nullptr);
     EXPECT_EQ(r.degradation, DegradationReason::kMemoExprCapReached);
   }

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -102,7 +103,18 @@ TEST(ServingChaosTest, SoakUnderFaultsQuotaFlipsAndDrain) {
       retry_config.max_backoff_seconds = 0.0;
       retry_config.seed = 0x5eed + static_cast<uint64_t>(t);
       const std::string tenant = "tenant" + std::to_string(t);
-      for (int i = 0; i < kQueriesPerTenant && !stop.load(); ++i) {
+      // Past its share a tenant keeps submitting, for a bounded time,
+      // until a worker fault has landed: the execute failpoint fires on
+      // its own seeded stream, so whether it fires within the share
+      // depends on how many queries the quotas happened to admit.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      auto more = [&](int i) {
+        if (i < kQueriesPerTenant) return true;
+        return failpoints.FireCount("serving.execute") == 0 &&
+               std::chrono::steady_clock::now() < give_up;
+      };
+      for (int i = 0; more(i) && !stop.load(); ++i) {
         RetryPolicy policy(retry_config);
         for (;;) {
           ServeRequest req;

@@ -6,15 +6,19 @@
 // admission-layer partial-catalog shed policy.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
 #include "common/query_context.h"
 #include "common/thread_pool.h"
 #include "observe/metrics.h"
@@ -317,6 +321,74 @@ TEST_F(ShardTest, ScrubReadmissionRestoresFullResultsWithoutRestart) {
     EXPECT_EQ(names, before[i]) << "query " << i;
     EXPECT_EQ(ctx.degradation(), DegradationReason::kNone) << "query " << i;
   }
+}
+
+TEST_F(ShardTest, RegistrationInFlightSurvivesQuarantineAndScrub) {
+  // An AddView that passed its owner's health check must finish its WAL
+  // append before a quarantine takes effect. Otherwise the scrub replays
+  // the store without it, swaps the rebuilt service in, and the repair
+  // checkpoint drops the acknowledged view for good. A pausing failpoint
+  // holds the registration between its health check and its append
+  // while another thread quarantines and scrubs the owning shard.
+#ifndef MVOPT_FAILPOINTS
+  GTEST_SKIP() << "needs the failpoint sites compiled in";
+#endif
+  const int owner = ShardRouter(&catalog_, 2).RouteView(view_defs_[0]);
+  ViewId victim = kInvalidViewId;
+  std::string error;
+  {
+    ShardedCatalogService service(&catalog_, Options(2, true));
+    ASSERT_TRUE(service.RecoverAll().all_healthy());
+    Seed(service);
+
+    std::promise<void> paused;
+    std::promise<void> resume;
+    std::shared_future<void> resumed = resume.get_future().share();
+    FailpointConfig hold;
+    hold.pause = [&paused, resumed] {
+      paused.set_value();
+      resumed.wait();
+    };
+    FailpointRegistry::Instance().Enable("filter_tree.add_view", hold);
+    // Never fires: its hit count shows that the scrub replayed the store.
+    FailpointConfig watch;
+    watch.skip = std::numeric_limits<int64_t>::max();
+    FailpointRegistry::Instance().Enable("catalog_shard.scrub_swap", watch);
+
+    std::thread writer([&] {
+      victim = service.AddView("victim", view_defs_[0], &error);
+    });
+    paused.get_future().wait();
+    std::thread scrubber([&] {
+      service.ForceQuarantine(owner, ShardQuarantineCause::kForced, "test");
+      service.ScrubTick();
+    });
+    // Give the scrub time to replay the store while the registration is
+    // held. A quarantine that waits for in-flight registrations never
+    // gets that far, and the bound simply expires.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(500);
+    while (FailpointRegistry::Instance().HitCount(
+               "catalog_shard.scrub_swap") == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    resume.set_value();
+    writer.join();
+    scrubber.join();
+    FailpointRegistry::Instance().DisableAll();
+
+    ASSERT_NE(victim, kInvalidViewId) << error;
+    EXPECT_EQ(service.shard_health(owner), ShardHealth::kHealthy);
+    EXPECT_NE(service.shard_service(owner).views().FindView("victim"),
+              nullptr)
+        << "acknowledged view missing from the live shard";
+  }
+  ShardedCatalogService restarted(&catalog_, Options(2, true));
+  ASSERT_TRUE(restarted.RecoverAll().all_healthy());
+  EXPECT_NE(restarted.shard_service(owner).views().FindView("victim"),
+            nullptr)
+      << "acknowledged view missing after a restart";
 }
 
 // ---------------------------------------------------------------------

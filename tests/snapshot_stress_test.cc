@@ -114,8 +114,9 @@ TEST_F(SnapshotStressTest, ProbesRacePublicationAndReclamation) {
   ASSERT_NE(reference.AddView("tail", view_defs_[0], &error), nullptr)
       << error;
   for (size_t q = 0; q < queries_.size(); ++q) {
-    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q])),
-              Signature(reference.FindSubstitutes(queries_[q])))
+    QueryContext ctx;
+    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q], ctx)),
+              Signature(reference.FindSubstitutes(queries_[q], ctx)))
         << "query " << q;
   }
 }
@@ -164,8 +165,9 @@ TEST_F(SnapshotStressTest, LifecycleReadmissionRacesProbes) {
   MatchingService reference(&catalog_);
   AddViewRange(&reference, 0, kNumViews);
   for (size_t q = 0; q < queries_.size(); ++q) {
-    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q])),
-              Signature(reference.FindSubstitutes(queries_[q])))
+    QueryContext ctx;
+    EXPECT_EQ(Signature(service.FindSubstitutes(queries_[q], ctx)),
+              Signature(reference.FindSubstitutes(queries_[q], ctx)))
         << "query " << q;
   }
 }
@@ -196,7 +198,10 @@ TEST_F(SnapshotStressTest, ConcurrentProbeStatsAreExactlyNTimesSerial) {
 
   MatchingService reference(&catalog_, options);
   AddViewRange(&reference, 0, kNumViews);
-  for (const SpjgQuery& q : queries_) (void)reference.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    (void)reference.FindSubstitutes(q, ctx);
+  }
   const MatchingStats expected = reference.stats();
   const MatchingStats got = service.stats();
   EXPECT_EQ(got.invocations, expected.invocations * kRounds);
@@ -229,7 +234,8 @@ TEST_F(SnapshotStressTest, DeadlinesStayIsolatedPerConcurrentProbe) {
     MatchingService reference(&catalog_, options);
     AddViewRange(&reference, 0, kNumViews);
     for (const SpjgQuery& q : queries_) {
-      expected.push_back(Signature(reference.FindSubstitutes(q)));
+      QueryContext ctx;
+      expected.push_back(Signature(reference.FindSubstitutes(q, ctx)));
     }
   }
 

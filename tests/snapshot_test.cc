@@ -286,7 +286,10 @@ TEST_F(SnapshotTest, VersionBumpsOnWritesNotProbes) {
   EXPECT_EQ(service.snapshot_version(), 2u);
 
   // Probes never publish.
-  for (const SpjgQuery& q : queries_) service.FindSubstitutes(q);
+  for (const SpjgQuery& q : queries_) {
+    QueryContext ctx;
+    service.FindSubstitutes(q, ctx);
+  }
   EXPECT_EQ(service.snapshot_version(), 2u);
 
   // A quiet revalidation tick (nothing sidelined) skips the clone.

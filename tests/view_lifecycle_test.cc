@@ -244,7 +244,9 @@ class LifecycleServiceTest : public ::testing::Test {
                             QueryBudget* budget = nullptr) {
     std::vector<ViewId> ids;
     SpjgQuery q = LineitemQuery();
-    for (const Substitute& s : service->FindSubstitutes(q, budget)) {
+    QueryContext ctx;
+    ctx.BorrowBudget(budget);
+    for (const Substitute& s : service->FindSubstitutes(q, ctx)) {
       ids.push_back(s.view_id);
     }
     return ids;

@@ -3,7 +3,8 @@
 # UndefinedBehaviorSanitizer, plus the concurrency stress suite under
 # ThreadSanitizer (see MVOPT_SANITIZE in the top-level CMakeLists.txt),
 # an observability smoke step (metrics_driver --selfcheck), the
-# crash/recovery matrix, and the static-analysis pass (thread-safety
+# crash/recovery matrix, a repeated run of the chaos soaks on a plain
+# build, and the static-analysis pass (thread-safety
 # gate + clang-tidy + negative-compile harness; SKIPs without Clang).
 # Each sanitizer gets its own build tree so the instrumented objects
 # never mix with the regular build.
@@ -96,6 +97,23 @@ run_crash_recovery() {
     "${repo_root}/tools/ci/run_crash_recovery.sh" "${build_dir}" 3
 }
 
+run_soak_repeat() {
+  # The chaos soaks race threads against each other, so one pass can
+  # miss a rare interleaving (an acknowledged registration lost to a
+  # scrub swap, say). Repeat both on a plain build until one fails; a
+  # run takes tens of milliseconds, so 200 repeats cost seconds.
+  local build_dir="${build_root}/plain"
+  echo "=== soak repeat: configure ==="
+  cmake -B "${build_dir}" -S "${repo_root}" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  echo "=== soak repeat: build ==="
+  cmake --build "${build_dir}" \
+    --target serving_chaos_test shard_chaos_test -j "${jobs}"
+  echo "=== soak repeat: test ==="
+  ctest --test-dir "${build_dir}" --output-on-failure \
+    -R 'ChaosTest\.Soak' --repeat until-fail:200
+}
+
 run_static_analysis() {
   # Compile-time lock-discipline gate (see DESIGN.md §12): builds the
   # tree under -Werror=thread-safety, runs clang-tidy, and asserts the
@@ -112,5 +130,6 @@ run_one undefined
 run_thread
 run_metrics_smoke
 run_crash_recovery
+run_soak_repeat
 run_static_analysis
 echo "=== sanitizers clean ==="
